@@ -16,10 +16,8 @@ independent cross-check.
 from .linalg import (
     DEFAULT_POLICY,
     DimensionMismatchError,
-    MixedSpectrumError,
     NonFiniteMatrixError,
     TolerancePolicy,
-    discrete_lyapunov,
     image_basis,
     kernel_basis,
     pseudo_inverse,
@@ -35,15 +33,12 @@ from .lqsolve import (
     TrajectoryParam,
     assemble_boundary,
     control_free_param,
-    control_reg,
     controllability_index,
-    costate2,
     endpoint_gramian,
     free_control_for_chi,
     reconstruct_trajectories,
     solve_problem,
     solve_with_decomposition,
-    state_sing,
     trajectory_param,
     verify_stationarity,
 )

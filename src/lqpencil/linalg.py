@@ -29,12 +29,6 @@ class DimensionMismatchError(ValueError):
     """Matrix/vector arguments have inconsistent shapes."""
 
 
-class MixedSpectrumError(ValueError):
-    """The Stein operator P - A P A^T is singular (eigenvalue pair with
-    lambda_i * lambda_j = 1), so the discrete Lyapunov equation has no
-    unique solution."""
-
-
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Shared numerical tolerances.
@@ -96,11 +90,9 @@ def _fix_signs(B):
     deterministic across repeated runs.
     """
     B = np.array(B)
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            B[:, j] = -col
+    if B.size:
+        lead = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
+        B[:, lead < 0] *= -1
     return B
 
 
@@ -195,34 +187,6 @@ def solve_affine(F, g, pol: TolerancePolicy = DEFAULT_POLICY):
     residual = np.linalg.norm(A @ particular - b) if A.shape[0] else 0.0
     feasible = bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(b)))
     return particular, kernel_basis(A, pol), feasible
-
-
-def discrete_lyapunov(A, W, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Solve ``P - A P A^T = W`` for the unique solution P.
-
-    Solves the vectorized system ``(I - A (x) A) vec(P) = vec(W)`` directly;
-    raises :class:`MixedSpectrumError` when that operator is singular, i.e.
-    when A has an eigenvalue pair with ``lambda_i * lambda_j = 1`` (a mixed
-    spectrum straddling the unit circle, or eigenvalues on it).
-    """
-    A = _as_matrix(A, "A")
-    W = _as_matrix(W, "W")
-    n = A.shape[0]
-    if A.shape != (n, n) or W.shape != (n, n):
-        raise DimensionMismatchError("A and W must be square of the same size")
-    if n == 0:
-        return np.zeros((0, 0))
-    op = np.eye(n * n) - np.kron(A, A)
-    s = np.linalg.svd(op, compute_uv=False)
-    if s[-1] <= _svd_cutoff(s, op.shape, pol):
-        raise MixedSpectrumError(
-            "mixed spectrum: A has an eigenvalue pair with product 1")
-    P = np.linalg.solve(op, W.reshape(-1)).reshape(n, n)
-    residual = np.linalg.norm(P - A @ P @ A.T - W)
-    if residual > pol.residual_tol * (1.0 + np.linalg.norm(W)):
-        raise MixedSpectrumError(
-            f"discrete Lyapunov solve failed residual check ({residual:.3e})")
-    return P
 
 
 def matrix_norm(M) -> float:

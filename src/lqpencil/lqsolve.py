@@ -13,19 +13,22 @@ of the second block of the *decomposed* costate
     lhat(t) = X x(t) - lambda(t)           (in U-coordinates),
 
 whose first block vanishes identically and whose second block runs the
-backward recursion lhat2(t) = A_X22'^(T-t) l2T.  The closed-form pieces
-are
+backward recursion lhat2(t) = A_X22' lhat2(t+1), lhat2(T) = l2T.  The
+remaining pieces are recursions too:
 
-    u1(t)  = R_X0^{-1} B12' A_X22'^(T-t-1) l2T
-    x2(t)  = A_X22^t x2(0) + sum_{j<t} A_X22^(t-1-j) B12 u1(j)
-    x2(T)  = A_X22^T x2(0) + P l2T,   P = sum_j A_X22^j W A_X22'^j  (PSD)
+    u1(t)    = R_X0^{-1} B12' lhat2(t+1)
+    x2(t+1)  = A_X22 x2(t) + B12 u1(t)
+    x2(T)    = A_X22^T x2(0) + P l2T,   P = sum_j A_X22^j W A_X22'^j  (PSD)
 
-with W = B12 R_X0^{-1} B12'.  The reachable block x1 is steered by the
-free inputs through the reachability matrix of (A_X11, B21); its
-endpoints are decision variables.  Boundary and transversality
-conditions close the system: a square linear system in chi whose
-solution set, combined with the null space of the reachability matrix,
-parameterizes *all* optimal trajectories.
+with W = B12 R_X0^{-1} B12'.  One backward sweep for lhat2 and one
+forward sweep for x2 give the whole horizon at once (:func:`_sweep`);
+each sweep runs as log2(T) vectorised doubling steps (:func:`_scan`),
+and P is summed by doubling too.  The reachable block x1 is steered by
+the free inputs through the reachability matrix of (A_X11, B21); its
+endpoints are decision variables.  Boundary and transversality conditions close
+the system: a square linear system in chi whose solution set, combined
+with the null space of the reachability matrix, parameterizes *all*
+optimal trajectories.
 
 Original coordinates are recovered by x = U [x1; x2],
 lambda = X x - U [0; lhat2], u = T1 u1 + T2 u2 - K_X x.
@@ -39,10 +42,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
-    MixedSpectrumError,
     TolerancePolicy,
     _as_vector,
-    discrete_lyapunov,
     kernel_basis,
     matrix_norm,
     pseudo_inverse,
@@ -67,15 +68,6 @@ class HorizonTooShortError(LqSolveError):
     """The horizon is shorter than the controllability index of the
     reachable block, so the endpoint map is rank-deficient and
     solvability of the boundary system no longer decides feasibility."""
-
-
-def _powers(A: np.ndarray, k: int):
-    """[I, A, A^2, ..., A^k]."""
-    d = A.shape[0]
-    out = [np.eye(d)]
-    for _ in range(k):
-        out.append(A @ out[-1])
-    return out
 
 
 def controllability_index(A, B, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
@@ -103,42 +95,60 @@ def controllability_index(A, B, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return d
 
 
-def costate2(dec: PencilDecomposition, horizon: int, lambda2_T, t: int) -> np.ndarray:
-    """Second costate block lhat2(t) = A_X22'^(T-t) lambda2_T, 0 <= t <= T."""
-    if not 0 <= t <= horizon:
-        raise ValueError(f"t={t} outside 0..{horizon}")
-    l2T = _as_vector(lambda2_T, "lambda2_T")
-    return np.linalg.matrix_power(dec.A_X22.T, horizon - t) @ l2T
+def _scan(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows x(0) = z(0), x(t) = A x(t-1) + z(t) of a linear recursion.
+
+    Runs as log2(len(z)) doubling steps over the whole horizon: after
+    the step with shift k, x(t) = sum of A^(t-i) z(i) over the last 2k
+    indices i <= t.  ``z`` may also hold matrices (t, d, e), which are
+    then propagated as x(t) = x(t-1) A'.
+    """
+    x = np.array(z, dtype=float)
+    Ak, k = A, 1
+    while k < len(x):
+        x[k:] += x[:-k] @ Ak.T
+        k *= 2
+        if k < len(x):
+            Ak = Ak @ Ak
+    return x
 
 
-def control_reg(dec: PencilDecomposition, horizon: int, lambda2_T, t: int) -> np.ndarray:
-    """Regular input u1(t) = R_X0^{-1} B12' A_X22'^(T-t-1) lambda2_T."""
-    if not 0 <= t <= horizon - 1:
-        raise ValueError(f"t={t} outside 0..{horizon - 1}")
-    l2T = _as_vector(lambda2_T, "lambda2_T")
-    rhs = dec.B12.T @ np.linalg.matrix_power(dec.A_X22.T, horizon - t - 1) @ l2T
-    if dec.m1 == 0:
-        return np.zeros(0)
-    return np.linalg.solve(dec.split.R_X0, rhs)
+def _sweep(dec: PencilDecomposition, horizon: int, x2_0, l2T):
+    """The decomposed trajectory pieces of one boundary parameter, one
+    row per time step: lhat2 (T+1, n-r), u1 (T, m1), x2 (T+1, n-r) and
+    the drift xi (T, r) of the reachable block.
+
+    One backward sweep gives lhat2, one solve gives every u1(t), and one
+    forward sweep gives x2.
+    """
+    A22 = dec.A_X22
+    terminal = np.zeros((horizon + 1, A22.shape[0]))
+    terminal[0] = l2T
+    lhat2 = _scan(A22.T, terminal)[::-1]
+    if dec.m1:
+        u1 = np.linalg.solve(dec.split.R_X0, dec.B12.T @ lhat2[1:].T).T
+    else:
+        u1 = np.zeros((horizon, 0))
+    x2 = _scan(A22, np.vstack([x2_0, u1 @ dec.B12.T]))
+    xi = x2[:-1] @ dec.A_X12.T + u1 @ dec.B11.T
+    return lhat2, u1, x2, xi
 
 
-def state_sing(dec: PencilDecomposition, horizon: int, x2_0, lambda2_T, t: int) -> np.ndarray:
-    """Unreachable state block driven by the regular inputs."""
-    if not 0 <= t <= horizon:
-        raise ValueError(f"t={t} outside 0..{horizon}")
-    x2 = _as_vector(x2_0, "x2_0")
-    for j in range(t):
-        x2 = dec.A_X22 @ x2 + dec.B12 @ control_reg(dec, horizon, lambda2_T, j)
-    return x2
+def _split_chi(dec: PencilDecomposition, chi):
+    """(x1(0), x1(T), x2(0), l2T) from the stacked boundary parameter."""
+    r, nr = dec.r, dec.n - dec.r
+    chi = _as_vector(chi, "chi")
+    return chi[0:r], chi[r:2 * r], chi[2 * r:2 * r + nr], chi[2 * r + nr:]
 
 
 def endpoint_gramian(dec: PencilDecomposition, horizon: int,
                      pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """P = sum_{j=0}^{T-1} A_X22^j B12 R_X0^{-1} B12' A_X22'^j (PSD).
 
-    Satisfies P - A22 P A22' = W - A22^T W A22'^T with
-    W = B12 R_X0^{-1} B12'; when A_X22 has unmixed spectrum this is
-    cross-checked against the discrete Lyapunov solver.
+    The sum is formed by doubling, P_(a+b) = P_a + A22^a P_b A22'^a,
+    in O(n^3 log T).  It satisfies the Stein identity
+    P - A22 P A22' = W - A22^T W A22'^T with W = B12 R_X0^{-1} B12',
+    which is checked in O(n^3) whatever the spectrum of A22.
     """
     A22 = dec.A_X22
     d = A22.shape[0]
@@ -148,19 +158,30 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
         return np.zeros((d, d))
     W = dec.B12 @ np.linalg.solve(dec.split.R_X0, dec.B12.T)
     W = 0.5 * (W + W.T)
-    P = np.zeros((d, d))
-    term = W
-    for _ in range(horizon):
-        P += term
-        term = A22 @ term @ A22.T
+    # Over the binary digits of T: P sums the terms taken so far and
+    # A_done is A22 to their number; P_k sums the first k terms and
+    # A_k = A22^k, for k = 1, 2, 4, ...
+    P, A_done = np.zeros((d, d)), np.eye(d)
+    P_k, A_k = W, A22
+    rest = horizon
+    while rest:
+        if rest & 1:
+            P = P + A_done @ P_k @ A_done.T
+            A_done = A_done @ A_k
+        rest >>= 1
+        if rest:
+            P_k = P_k + A_k @ P_k @ A_k.T
+            A_k = A_k @ A_k
     P = 0.5 * (P + P.T)
-    # term now holds A22^T W A22'^T
-    try:
-        P_lyap = discrete_lyapunov(A22, W - term, pol)
-    except MixedSpectrumError:
-        return P
-    if matrix_norm(P - P_lyap) > pol.residual_tol * (1.0 + matrix_norm(P)) * 10:
-        raise DecompositionError("endpoint gramian failed Lyapunov cross-check")
+    term = A_done @ W @ A_done.T
+    stein = P - A22 @ P @ A22.T - (W - term)
+    fro = np.linalg.norm
+    bound = pol.residual_tol * (1.0 + fro(P) * (1.0 + fro(A22) ** 2)
+                                + fro(W) + fro(term))
+    if fro(stein) > bound:
+        raise DecompositionError(
+            f"endpoint gramian fails its Stein identity "
+            f"({fro(stein):.3e} > {bound:.3e})")
     return P
 
 
@@ -184,20 +205,23 @@ class TrajectoryParam:
     R2: np.ndarray
 
 
+def _steering_stacks(dec: PencilDecomposition, horizon: int):
+    """R1 and R2 of :class:`TrajectoryParam`."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    r = dec.r
+    seed = np.zeros((horizon, r, r))
+    seed[0] = np.eye(r)
+    # row k of the scan is (A11^k)'
+    R2 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * r)
+    R1 = (R2.reshape(r, horizon, r) @ dec.B21).reshape(r, horizon * dec.m2)
+    return R1, R2
+
+
 def trajectory_param(dec: PencilDecomposition, horizon: int,
                      pol: TolerancePolicy = DEFAULT_POLICY) -> TrajectoryParam:
     """Assemble the endpoint gramian and stacked reachability operators."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    r, m2 = dec.r, dec.m2
-    pows = _powers(dec.A_X11, horizon - 1)
-    if r:
-        R1 = np.hstack([pows[k] @ dec.B21 for k in range(horizon)]) if m2 else \
-            np.zeros((r, 0))
-        R2 = np.hstack(pows[:horizon])
-    else:
-        R1 = np.zeros((0, horizon * m2))
-        R2 = np.zeros((0, 0))
+    R1, R2 = _steering_stacks(dec, horizon)
     return TrajectoryParam(dec=dec, horizon=horizon,
                            gramian=endpoint_gramian(dec, horizon, pol),
                            R1=R1, R2=R2)
@@ -223,17 +247,16 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     reachable : bool
         Whether the required endpoint displacement lies in im R1.
     """
-    tp = trajectory_param(dec, horizon, pol)
+    R1, R2 = _steering_stacks(dec, horizon)
     x1_0 = _as_vector(x1_0, "x1_0")
     x1_T = _as_vector(x1_T, "x1_T")
     xi = np.asarray(xi_seq, dtype=float).reshape(horizon, dec.r)
-    xi_stack = xi[::-1].reshape(-1)
     target = x1_T - np.linalg.matrix_power(dec.A_X11, horizon) @ x1_0 \
-        - (tp.R2 @ xi_stack if dec.r else np.zeros(0))
-    u_stack = pseudo_inverse(tp.R1, pol) @ target
-    residual = np.linalg.norm(tp.R1 @ u_stack - target) if dec.r else 0.0
+        - R2 @ xi[::-1].reshape(-1)
+    u_stack = pseudo_inverse(R1, pol) @ target
+    residual = np.linalg.norm(R1 @ u_stack - target)
     reachable = bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(target)))
-    return u_stack, kernel_basis(tp.R1, pol), reachable
+    return u_stack, kernel_basis(R1, pol), reachable
 
 
 @dataclass(frozen=True)
@@ -357,16 +380,9 @@ def free_control_for_chi(problem: LqProblem, dec: PencilDecomposition, chi,
     """Minimum-norm stacked free inputs consistent with a boundary
     parameter chi; returns (u_stack, nullspace, reachable) as in
     :func:`control_free_param`."""
-    T_h = problem.horizon
-    r, nr = dec.r, dec.n - dec.r
-    chi = _as_vector(chi, "chi")
-    x1_0, x1_T = chi[0:r], chi[r:2 * r]
-    x2_0, l2T = chi[2 * r:2 * r + nr], chi[2 * r + nr:]
-    xi = np.empty((T_h, r))
-    for t in range(T_h):
-        xi[t] = dec.A_X12 @ state_sing(dec, T_h, x2_0, l2T, t) \
-            + dec.B11 @ control_reg(dec, T_h, l2T, t)
-    return control_free_param(dec, T_h, x1_0, x1_T, xi, pol)
+    x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
+    *_, xi = _sweep(dec, problem.horizon, x2_0, l2T)
+    return control_free_param(dec, problem.horizon, x1_0, x1_T, xi, pol)
 
 
 def reconstruct_trajectories(problem: LqProblem, dec: PencilDecomposition,
@@ -379,53 +395,32 @@ def reconstruct_trajectories(problem: LqProblem, dec: PencilDecomposition,
     (T, m), (T+1, n).
     """
     T_h = problem.horizon
-    cert, split = dec.cert, dec.split
-    n, r, m1, m2 = dec.n, dec.r, dec.m1, dec.m2
-    nr = n - r
-    chi = _as_vector(chi, "chi")
-    x1_0, x2_0 = chi[0:r], chi[2 * r:2 * r + nr]
-    l2T = chi[2 * r + nr:]
-    u_free_stack = _as_vector(u_free_stack, "u_free_stack") if m2 else np.zeros(0)
+    cert, split, r = dec.cert, dec.split, dec.r
+    x1_0, _, x2_0, l2T = _split_chi(dec, chi)
+    lhat2, u1, x2, xi = _sweep(dec, T_h, x2_0, l2T)
+    u_free_stack = _as_vector(u_free_stack, "u_free_stack") if dec.m2 else np.zeros(0)
+    u2 = u_free_stack.reshape(T_h, dec.m2)[::-1]
 
-    lhat2 = np.array([costate2(dec, T_h, l2T, t) for t in range(T_h + 1)])
-    u1 = np.array([control_reg(dec, T_h, l2T, t) for t in range(T_h)]).reshape(T_h, m1)
-    x2 = np.empty((T_h + 1, nr))
-    x2[0] = x2_0
-    for t in range(T_h):
-        x2[t + 1] = dec.A_X22 @ x2[t] + dec.B12 @ u1[t]
+    x1 = _scan(dec.A_X11, np.vstack([x1_0, u2 @ dec.B21.T + xi]))
 
-    u2 = np.empty((T_h, m2))
-    for t in range(T_h):
-        u2[t] = u_free_stack[(T_h - 1 - t) * m2:(T_h - t) * m2]
-
-    x1 = np.empty((T_h + 1, r))
-    x1[0] = x1_0
-    for t in range(T_h):
-        xi_t = dec.A_X12 @ x2[t] + dec.B11 @ u1[t]
-        x1[t + 1] = dec.A_X11 @ x1[t] + dec.B21 @ u2[t] + xi_t
-
-    xs = np.empty((T_h + 1, n))
-    lams = np.empty((T_h + 1, n))
-    for t in range(T_h + 1):
-        xt = dec.U @ np.concatenate([x1[t], x2[t]])
-        xs[t] = xt
-        lams[t] = cert.X @ xt - dec.U @ np.concatenate([np.zeros(r), lhat2[t]])
-    us = np.empty((T_h, problem.triple.m))
-    for t in range(T_h):
-        us[t] = split.T1 @ u1[t] + split.T2 @ u2[t] - cert.K_X @ xs[t]
+    xs = np.hstack([x1, x2]) @ dec.U.T
+    lams = xs @ cert.X.T - lhat2 @ dec.U[:, r:].T
+    us = u1 @ split.T1.T + u2 @ split.T2.T - xs[:-1] @ cert.K_X.T
     return xs, us, lams
 
 
 def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     tr, bd = problem.triple, problem.boundary
     T_h = problem.horizon
-    dyn = max((np.linalg.norm(xs[t + 1] - tr.A @ xs[t] - tr.B @ us[t])
-               for t in range(T_h)), default=0.0)
+
+    def worst_row(res):
+        return float(np.max(np.linalg.norm(res, axis=1), initial=0.0))
+
+    dyn = worst_row(xs[1:] - xs[:-1] @ tr.A.T - us @ tr.B.T)
     con = np.linalg.norm(bd.V0 @ xs[0] + bd.VT @ xs[T_h] - bd.v) if bd.q else 0.0
-    cos = max((np.linalg.norm(lams[t] - tr.Q @ xs[t] - tr.A.T @ lams[t + 1]
-                              - tr.S @ us[t]) for t in range(T_h)), default=0.0)
-    inp = max((np.linalg.norm(tr.S.T @ xs[t] + tr.B.T @ lams[t + 1] + tr.R @ us[t])
-               for t in range(T_h)), default=0.0)
+    cos = worst_row(lams[:-1] - xs[:-1] @ tr.Q.T - lams[1:] @ tr.A
+                    - us @ tr.S.T)
+    inp = worst_row(xs[:-1] @ tr.S + lams[1:] @ tr.B + us @ tr.R.T)
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
     if bd.q:

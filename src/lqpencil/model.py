@@ -254,14 +254,9 @@ def evaluate_cost(problem: LqProblem, xs, us) -> float:
     us = np.asarray(us, dtype=float).reshape(T, tr.m)
     if xs.shape != (T + 1, tr.n):
         raise DimensionMismatchError("xs must have shape (T+1, n)")
-    pi = tr.pi
-    J = 0.0
-    for t in range(T):
-        zt = np.concatenate([xs[t], us[t]])
-        J += float(zt @ pi @ zt)
+    Z = np.hstack([xs[:-1], us])
     e = np.concatenate([xs[0] - bd.h0, xs[T] - bd.hT])
-    J += float(e @ bd.H @ e)
-    return J
+    return float(np.sum((Z @ tr.pi) * Z)) + float(e @ bd.H @ e)
 
 
 def simulate(triple: PopovTriple, x0, us) -> np.ndarray:

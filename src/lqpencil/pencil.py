@@ -49,7 +49,7 @@ class DecompositionError(RuntimeError):
     """An internal consistency check of the pencil decomposition failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pencil:
     """A linear matrix pencil N - z M (square)."""
 
@@ -71,11 +71,6 @@ class Pencil:
     def at(self, z) -> np.ndarray:
         """Evaluate N - z M (complex z allowed)."""
         return self.N - z * self.M
-
-    def __eq__(self, other):
-        return (isinstance(other, Pencil)
-                and np.array_equal(self.N, other.N)
-                and np.array_equal(self.M, other.M))
 
 
 def build_esp(sigma: PopovTriple) -> Pencil:

@@ -209,11 +209,17 @@ def iterate_grde(sigma: PopovTriple, X0=None, max_iters: int = 5000,
         S_X, R_X, Rp, _, _ = _derived(sigma, X, pol)
         X_next = sigma.A.T @ X @ sigma.A - S_X @ Rp @ S_X.T + sigma.Q
         X_next = 0.5 * (X_next + X_next.T)
-        if matrix_norm(X_next) > bound:
+        step, X = X_next - X, X_next
+        # Each spectral norm costs an SVD.  Since ||X||_2 <= ||X||_F and
+        # ||step||_2 >= its largest column norm, these cheap norms (with
+        # a factor 2 against rounding) settle most iterations without
+        # one, and every decision is the one the spectral norms give.
+        fro = np.linalg.norm(X)
+        if 2.0 * fro > bound and matrix_norm(X) > bound:
             raise RiccatiDivergenceError("Riccati iterates diverged")
-        step = matrix_norm(X_next - X)
-        X = X_next
-        if step <= tol_scale * (1.0 + matrix_norm(X)):
+        if np.linalg.norm(step, axis=0).max(initial=0.0) > 2.0 * tol_scale * (1.0 + fro):
+            continue
+        if matrix_norm(step) <= tol_scale * (1.0 + matrix_norm(X)):
             break
     else:
         raise RiccatiNoConvergenceError(

@@ -1,15 +1,13 @@
-"""Rank-revealing primitives: pseudo-inverse, kernel/image bases, affine
-solves, and the discrete Lyapunov solver."""
+"""Rank-revealing primitives: pseudo-inverse, kernel/image bases and
+affine solves."""
 
 import numpy as np
 import pytest
 
 from lqpencil import (
     DimensionMismatchError,
-    MixedSpectrumError,
     NonFiniteMatrixError,
     TolerancePolicy,
-    discrete_lyapunov,
     image_basis,
     kernel_basis,
     pseudo_inverse,
@@ -186,44 +184,6 @@ def test_solve_affine_consistency_random():
         np.testing.assert_allclose(F @ x, g, atol=1e-10)
         # particular solution is orthogonal to the kernel (min-norm)
         np.testing.assert_allclose(ns.T @ x, 0.0, atol=1e-10)
-
-
-def test_discrete_lyapunov_scalar():
-    P = discrete_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
-    np.testing.assert_allclose(P, [[4.0 / 3.0]], atol=1e-12)
-
-
-def test_discrete_lyapunov_zero_matrix():
-    W = np.array([[2.0, 1.0], [1.0, 3.0]])
-    np.testing.assert_allclose(discrete_lyapunov(np.zeros((2, 2)), W), W)
-
-
-def test_discrete_lyapunov_matches_series():
-    rng = np.random.default_rng(23)
-    A = 0.5 * rng.normal(size=(3, 3))
-    A /= max(1.0, np.max(np.abs(np.linalg.eigvals(A))) / 0.8)
-    Wr = rng.normal(size=(3, 3))
-    W = Wr @ Wr.T
-    P = discrete_lyapunov(A, W)
-    series = np.zeros((3, 3))
-    Ak = np.eye(3)
-    for _ in range(400):
-        series += Ak @ W @ Ak.T
-        Ak = A @ Ak
-    np.testing.assert_allclose(P, series, atol=1e-9)
-
-
-def test_discrete_lyapunov_mixed_spectrum_rejected():
-    A = np.diag([2.0, 0.5])  # eigenvalue product exactly 1
-    with pytest.raises(MixedSpectrumError):
-        discrete_lyapunov(A, np.eye(2))
-    with pytest.raises(MixedSpectrumError):
-        discrete_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
-
-
-def test_discrete_lyapunov_shape_check():
-    with pytest.raises(DimensionMismatchError):
-        discrete_lyapunov(np.eye(2), np.eye(3))
 
 
 def test_matrix_norm():

@@ -12,12 +12,11 @@ from lqpencil import (
     InfeasibleProblemError,
     LqProblem,
     PopovTriple,
+    TolerancePolicy,
     assemble_boundary,
     certify,
     control_free_param,
-    control_reg,
     controllability_index,
-    costate2,
     endpoint_gramian,
     flatten,
     free_control_for_chi,
@@ -28,13 +27,13 @@ from lqpencil import (
     solve_problem,
     solve_with_decomposition,
     split_inputs,
-    state_sing,
     trajectory_param,
     verify_stationarity,
 )
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution
 from lqpencil.linalg import solve_affine
-from lqpencil.pencil import PencilDecomposition
+from lqpencil.lqsolve import _sweep
+from lqpencil.pencil import DecompositionError, PencilDecomposition
 from lqpencil.riccati import (
     InputSplit,
     RiccatiDivergenceError,
@@ -70,6 +69,22 @@ def dec_free_only(a11, b21):
         B12=np.zeros((0, 0)), B21=np.array([[b21]]), pencil=None)
 
 
+def random_dec(rng, r, nr, m1, m2=1):
+    """Synthetic decomposition with random blocks of the given sizes,
+    enough for the trajectory maps."""
+    n, m = r + nr, m1 + m2
+    G = rng.normal(size=(m1, m1))
+    return PencilDecomposition(
+        cert=None, split=InputSplit(np.zeros((m, m1)), np.zeros((m, m2)),
+                                    G @ G.T + np.eye(m1),
+                                    np.zeros((n, m1)), np.zeros((n, m2))),
+        U_X=None, V_X=None, U=np.eye(n), r=r,
+        A_X11=rng.normal(size=(r, r)), A_X12=rng.normal(size=(r, nr)),
+        A_X22=rng.normal(size=(nr, nr)) / np.sqrt(max(nr, 1)),
+        B11=rng.normal(size=(r, m1)), B12=rng.normal(size=(nr, m1)),
+        B21=rng.normal(size=(r, m2)), pencil=None)
+
+
 def test_controllability_index():
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert controllability_index(A, np.array([[0.0], [1.0]])) == 2
@@ -79,25 +94,62 @@ def test_controllability_index():
 
 def test_costate_powers():
     dec = dec_without_free_part(0.5, 1.0, 2.0)
-    np.testing.assert_allclose(costate2(dec, 3, [8.0], 0), [1.0])
-    np.testing.assert_allclose(costate2(dec, 3, [8.0], 3), [8.0])
-    with pytest.raises(ValueError):
-        costate2(dec, 3, [8.0], 4)
+    lhat2, _, _, _ = _sweep(dec, 3, [0.0], [8.0])
+    assert lhat2.shape == (4, 1)
+    np.testing.assert_allclose(lhat2[0], [1.0])
+    np.testing.assert_allclose(lhat2[3], [8.0])
 
 
 def test_regular_control_closed_form():
     dec = dec_without_free_part(0.5, 1.0, 2.0)
-    np.testing.assert_allclose(control_reg(dec, 2, [4.0], 0), [1.0])
-    np.testing.assert_allclose(control_reg(dec, 2, [4.0], 1), [2.0])
-    with pytest.raises(ValueError):
-        control_reg(dec, 2, [4.0], 2)
+    _, u1, _, _ = _sweep(dec, 2, [0.0], [4.0])
+    assert u1.shape == (2, 1)
+    np.testing.assert_allclose(u1[0], [1.0])
+    np.testing.assert_allclose(u1[1], [2.0])
 
 
 def test_singular_state_forward_recursion():
     dec = dec_without_free_part(0.5, 1.0, 2.0)
-    np.testing.assert_allclose(state_sing(dec, 2, [0.0], [4.0], 1), [1.0])
-    np.testing.assert_allclose(state_sing(dec, 2, [0.0], [4.0], 2), [2.5])
-    np.testing.assert_allclose(state_sing(dec, 2, [2.0], [4.0], 2), [3.0])
+    _, _, x2, _ = _sweep(dec, 2, [0.0], [4.0])
+    np.testing.assert_allclose(x2[1], [1.0])
+    np.testing.assert_allclose(x2[2], [2.5])
+    _, _, x2, _ = _sweep(dec, 2, [2.0], [4.0])
+    np.testing.assert_allclose(x2[2], [3.0])
+
+
+def test_sweep_matches_power_closed_forms():
+    """The sweeps reproduce the per-t closed forms
+    lhat2(t) = A22'^(T-t) l2T, u1(t) = R_X0^-1 B12' A22'^(T-t-1) l2T,
+    x2(t) = A22^t x2(0) + sum_{j<t} A22^(t-1-j) B12 u1(j) and
+    xi(t) = A12 x2(t) + B11 u1(t)."""
+    rng = np.random.default_rng(404)
+    power = np.linalg.matrix_power
+
+    def rel_err(a, b):
+        return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+    for r, nr, m1 in ((0, 1, 1), (2, 3, 2), (1, 2, 0), (3, 0, 2), (2, 4, 3),
+                      (0, 3, 1)):
+        for T in (1, int(rng.integers(2, 60)), 60):
+            dec = random_dec(rng, r, nr, m1)
+            x2_0, l2T = rng.normal(size=nr), rng.normal(size=nr)
+            A22, B12, R = dec.A_X22, dec.B12, dec.split.R_X0
+            lhat2 = np.array([power(A22.T, T - t) @ l2T
+                              for t in range(T + 1)]).reshape(T + 1, nr)
+            u1 = np.array([np.linalg.solve(R, B12.T @ power(A22.T, T - t - 1)
+                                           @ l2T) if m1 else np.zeros(0)
+                           for t in range(T)]).reshape(T, m1)
+            x2 = np.array([power(A22, t) @ x2_0
+                           + sum((power(A22, t - 1 - j) @ B12 @ u1[j]
+                                  for j in range(t)), np.zeros(nr))
+                           for t in range(T + 1)]).reshape(T + 1, nr)
+            xi = np.array([dec.A_X12 @ x2[t] + dec.B11 @ u1[t]
+                           for t in range(T)]).reshape(T, r)
+            got = _sweep(dec, T, x2_0, l2T)
+            for name, ref, val in zip(("lhat2", "u1", "x2", "xi"),
+                                      (lhat2, u1, x2, xi), got):
+                assert val.shape == ref.shape, name
+                assert rel_err(val, ref) <= 1e-10, (name, r, nr, m1, T)
 
 
 def test_endpoint_gramian_values(sing_dec):
@@ -124,6 +176,23 @@ def test_endpoint_gramian_is_psd_and_obeys_stein_identity():
         Ak = np.linalg.matrix_power(dec.A_X22, T)
         rhs = W - Ak @ W @ Ak.T
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + abs(P[0, 0])))
+
+
+def test_endpoint_gramian_stein_check_on_mixed_spectrum():
+    # eigenvalues 2 and 1/2 multiply to 1: no Lyapunov solution is
+    # unique, yet the finite sum and its Stein check are well defined
+    rng = np.random.default_rng(5)
+    S = rng.normal(size=(2, 2)) + 2 * np.eye(2)
+    A22 = S @ np.diag([2.0, 0.5]) @ np.linalg.inv(S)
+    dec = dataclasses.replace(random_dec(rng, 0, 2, 1), A_X22=A22)
+    W = dec.B12 @ np.linalg.solve(dec.split.R_X0, dec.B12.T)
+    T = 7
+    series = sum(np.linalg.matrix_power(A22, j) @ W
+                 @ np.linalg.matrix_power(A22, j).T for j in range(T))
+    np.testing.assert_allclose(endpoint_gramian(dec, T), series,
+                               rtol=1e-12, atol=1e-12)
+    with pytest.raises(DecompositionError, match="Stein identity"):
+        endpoint_gramian(dec, T, TolerancePolicy(residual_tol=1e-300))
 
 
 def test_trajectory_param_stacks(sing_dec):
@@ -192,7 +261,9 @@ def test_assemble_boundary_row_counts(sing_triple, sing_dec):
 
 
 def test_cyclic_solution_closed_form(sing_cert):
-    for (h1, h2), T in (((1.0, 2.0), 3), ((-3.0, 0.5), 2), ((0.0, 1.0), 6)):
+    T2 = split_inputs(sing_cert).T2
+    for (h1, h2), T in (((1.0, 2.0), 3), ((-3.0, 0.5), 2), ((0.0, 1.0), 6),
+                        ((1.0, 2.0), 400), ((-3.0, 0.5), 800)):
         p = cyclic_problem((h1, h2), T)
         sol = solve_problem(p, sing_cert)
         assert sol.cost == pytest.approx(2 * h2 ** 2 / 3, abs=1e-9)
@@ -205,6 +276,12 @@ def test_cyclic_solution_closed_form(sing_cert):
         assert (sol.r, sol.m1, sol.m2) == (1, 1, 1)
         assert sol.free_boundary.shape == (4, 0)
         assert sol.free_control.shape == (T, T - 1)
+        # minimum-norm free input: constant, coefficient |h2|/(3T)
+        ubar2 = (sol.u + sol.x[:-1] @ sing_cert.K_X.T) @ T2
+        np.testing.assert_allclose(ubar2, ubar2[0] * np.ones_like(ubar2),
+                                   atol=1e-10)
+        assert np.linalg.norm(T2 @ ubar2[0]) / np.sqrt(2.0) == \
+            pytest.approx(abs(h2) / (3 * T), abs=1e-9)
 
 
 def test_cyclic_free_component_pattern(cyclic, sing_cert, sing_dec):

@@ -61,7 +61,6 @@ def test_build_esp_scalar_layout():
                                         [0.0, -2.0, 0.0],
                                         [0.0, -3.0, 0.0]])
     np.testing.assert_array_equal(p.at(2.0), p.N - 2.0 * p.M)
-    assert p == Pencil(p.N.copy(), p.M.copy())
 
 
 def test_esp_rank_running_example(sing_triple):

@@ -17,11 +17,13 @@ from lqpencil import (
     gdare_residual,
     iterate_grde,
     kernel_condition_violation,
+    pseudo_inverse,
     split_inputs,
 )
+from lqpencil.linalg import matrix_norm
 from lqpencil.riccati import NotSymmetricError
 
-from conftest import random_regular_problem
+from conftest import random_regular_problem, random_singular_triple
 
 
 def scalar_triple(a, b, q=1.0, s=0.0, r=1.0):
@@ -146,6 +148,52 @@ def test_iterate_iteration_budget():
 def test_iterate_respects_start(sing_triple):
     cert = iterate_grde(sing_triple, X0=np.diag([0.0, 1.0]))
     np.testing.assert_allclose(cert.X, np.diag([0.0, 1.0]), atol=1e-14)
+
+
+def _spectral_norm_iteration(tr, max_iters):
+    """The iteration with every test on spectral norms; returns the
+    limit and the number of updates, or None when it diverges or runs
+    out of updates."""
+    X = np.zeros((tr.n, tr.n))
+    bound = 1e12 * (1.0 + matrix_norm(tr.Q))
+    for k in range(1, max_iters + 1):
+        S_X = tr.A.T @ X @ tr.B + tr.S
+        R_X = tr.R + tr.B.T @ X @ tr.B
+        Rp = pseudo_inverse(0.5 * (R_X + R_X.T))
+        X_next = tr.A.T @ X @ tr.A - S_X @ Rp @ S_X.T + tr.Q
+        X_next = 0.5 * (X_next + X_next.T)
+        if matrix_norm(X_next) > bound:
+            return None
+        step = matrix_norm(X_next - X)
+        X = X_next
+        if step <= 1e-11 * (1.0 + matrix_norm(X)):
+            return X, k
+    return None
+
+
+def test_iterate_decisions_match_spectral_norms():
+    # The loop settles most iterations with cheap norm bounds; it must
+    # stop at the same update, with the same bytes, as the plain test.
+    rng = np.random.default_rng(7)
+    checked = 0
+    for i in range(40):
+        tr = random_regular_problem(rng).triple if i % 2 else random_singular_triple(rng)
+        ref = _spectral_norm_iteration(tr, 500)
+        if ref is None:
+            with pytest.raises((RiccatiDivergenceError, RiccatiNoConvergenceError)):
+                iterate_grde(tr, max_iters=500)
+            continue
+        X_ref, k = ref
+        try:
+            certify(tr, X_ref)
+        except NotRiccatiSolutionError:
+            continue
+        assert iterate_grde(tr, max_iters=500).X.tobytes() == X_ref.tobytes()
+        if k > 1:
+            with pytest.raises(RiccatiNoConvergenceError):
+                iterate_grde(tr, max_iters=k - 1)
+            checked += 1
+    assert checked >= 15
 
 
 def test_iterate_agrees_with_scipy_on_regular_family():
