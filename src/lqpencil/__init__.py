@@ -30,7 +30,6 @@ from .lqsolve import (
     InfeasibleProblemError,
     LqSolution,
     StationarityReport,
-    TrajectoryParam,
     assemble_boundary,
     control_free_param,
     controllability_index,
@@ -39,7 +38,6 @@ from .lqsolve import (
     reconstruct_trajectories,
     solve_problem,
     solve_with_decomposition,
-    trajectory_param,
     verify_stationarity,
 )
 from .model import (

@@ -24,12 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fixtures import bundled_problem_path, singular_riccati_solution, singular_triple
-from .linalg import TolerancePolicy
+from .linalg import TolerancePolicy, matrix_norm
 from .lqsolve import (
     HorizonTooShortError,
     InfeasibleProblemError,
@@ -51,9 +50,10 @@ from .pencil import (
 from .riccati import (
     NotRiccatiSolutionError,
     RiccatiIterationError,
+    _certify,
+    _evaluate,
     certify,
-    gdare_residual,
-    kernel_condition_violation,
+    iterate_grde,
     split_inputs,
 )
 
@@ -64,43 +64,29 @@ EXIT_NO_RICCATI = 3
 EXIT_BAD_INPUT = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation; seed defaults to a fixed constant so repeated
-    runs are reproducible."""
-
-    command: str
-    problem: str | None = None
-    riccati: str | None = None
-    out: str | None = None
-    rank_tol: float | None = None
-    residual_tol: float | None = None
-    seed: int = DEFAULT_SEED
-
-
 class _CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
 
 
-def _policy(cfg: RunConfig) -> TolerancePolicy:
+def _policy(args) -> TolerancePolicy:
     kwargs = {}
-    if cfg.rank_tol is not None:
-        kwargs["rank_rel_tol"] = cfg.rank_tol
-    if cfg.residual_tol is not None:
-        kwargs["residual_tol"] = cfg.residual_tol
+    if args.rank_tol is not None:
+        kwargs["rank_rel_tol"] = args.rank_tol
+    if args.residual_tol is not None:
+        kwargs["residual_tol"] = args.residual_tol
     try:
         return TolerancePolicy(**kwargs)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_BAD_INPUT) from exc
 
 
-def _load_problem(cfg: RunConfig) -> LqProblem:
-    if not cfg.problem:
+def _load_problem(args) -> LqProblem:
+    if not args.problem:
         raise _CliError("this command requires --problem", EXIT_BAD_INPUT)
     try:
-        return load_problem(cfg.problem)
+        return load_problem(args.problem)
     except (OSError, ProblemFormatError) as exc:
         raise _CliError(f"cannot load problem: {exc}", EXIT_BAD_INPUT) from exc
 
@@ -115,13 +101,11 @@ def _load_riccati_matrix(path: str) -> np.ndarray:
     return X
 
 
-def _certificate(cfg: RunConfig, problem: LqProblem, pol: TolerancePolicy):
+def _certificate(args, problem: LqProblem, pol: TolerancePolicy):
     """Certificate from --riccati when given, else from the fixed-point
     iteration.  Returns (certificate, source string)."""
-    from .riccati import iterate_grde
-
-    if cfg.riccati:
-        X = _load_riccati_matrix(cfg.riccati)
+    if args.riccati:
+        X = _load_riccati_matrix(args.riccati)
         try:
             return certify(problem.triple, X, pol), "file"
         except (NotRiccatiSolutionError, ValueError) as exc:
@@ -141,32 +125,48 @@ def _complex_pair(z) -> list:
     return [z.real, z.imag]
 
 
-def _tolerances(pol: TolerancePolicy) -> dict:
-    return {"rank_rel_tol": pol.rank_rel_tol,
-            "residual_tol": pol.residual_tol,
-            "eig_match_tol": pol.eig_match_tol}
+def _report(args, pol: TolerancePolicy) -> dict:
+    """The opening keys of every report."""
+    return {"command": args.command,
+            "seed": args.seed,
+            "tolerances": {"rank_rel_tol": pol.rank_rel_tol,
+                           "residual_tol": pol.residual_tol,
+                           "eig_match_tol": pol.eig_match_tol}}
 
 
-def _cmd_solve(cfg: RunConfig):
-    pol = _policy(cfg)
-    problem = _load_problem(cfg)
+def _problem_report(args):
+    """The preamble of solve, analyze-pencil and oracle: the policy, the
+    loaded and validated problem, and the report opened with its
+    "problem" block."""
+    pol = _policy(args)
+    problem = _load_problem(args)
     try:
         validate(problem, pol)
     except ValidationError as exc:
         raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc
-    cert, source = _certificate(cfg, problem, pol)
+    report = _report(args, pol)
+    report["problem"] = {"n": problem.triple.n, "m": problem.triple.m,
+                         "q": problem.boundary.q, "T": problem.horizon}
+    return pol, problem, report
+
+
+def _decomposed(args):
+    """The preamble of solve and analyze-pencil: that of
+    :func:`_problem_report`, then the certificate and the reachability
+    decomposition, with their "riccati" and "decomposition" blocks.
+    Returns (policy, problem, report, decomposition)."""
+    pol, problem, report = _problem_report(args)
+    cert, source = _certificate(args, problem, pol)
     dec = reachability_decomposition(cert, split_inputs(cert, pol), pol)
-    report = {
-        "command": "solve",
-        "seed": cfg.seed,
-        "tolerances": _tolerances(pol),
-        "problem": {"n": problem.triple.n, "m": problem.triple.m,
-                    "q": problem.boundary.q, "T": problem.horizon},
-        "riccati": {"source": source, "X": _mat(cert.X),
-                    "gdare_residual": cert.gdare_residual,
-                    "kernel_violation": cert.kernel_violation},
-        "decomposition": {"r": dec.r, "m1": dec.m1, "m2": dec.m2},
-    }
+    report["riccati"] = {"source": source, "X": _mat(cert.X),
+                         "gdare_residual": cert.gdare_residual,
+                         "kernel_violation": cert.kernel_violation}
+    report["decomposition"] = {"r": dec.r, "m1": dec.m1, "m2": dec.m2}
+    return pol, problem, report, dec
+
+
+def _cmd_solve(args):
+    pol, problem, report, dec = _decomposed(args)
     try:
         sol = solve_with_decomposition(problem, dec, pol)
     except InfeasibleProblemError as exc:
@@ -201,26 +201,11 @@ def _cmd_solve(cfg: RunConfig):
     return report, EXIT_OK
 
 
-def _cmd_analyze_pencil(cfg: RunConfig):
-    pol = _policy(cfg)
-    problem = _load_problem(cfg)
-    try:
-        validate(problem, pol)
-    except ValidationError as exc:
-        raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc
-    cert, source = _certificate(cfg, problem, pol)
-    dec = reachability_decomposition(cert, split_inputs(cert, pol), pol)
-    spec = generalized_spectrum(dec, pol, seed=cfg.seed)
-    report = {
-        "command": "analyze-pencil",
-        "seed": cfg.seed,
-        "tolerances": _tolerances(pol),
-        "problem": {"n": problem.triple.n, "m": problem.triple.m,
-                    "q": problem.boundary.q, "T": problem.horizon},
-        "riccati": {"source": source,
-                    "gdare_residual": cert.gdare_residual,
-                    "kernel_violation": cert.kernel_violation},
-        "decomposition": {"r": dec.r, "m1": dec.m1, "m2": dec.m2},
+def _cmd_analyze_pencil(args):
+    pol, _, report, dec = _decomposed(args)
+    del report["riccati"]["X"]
+    spec = generalized_spectrum(dec, pol, seed=args.seed)
+    report.update({
         "normal_rank": spec.normal_rank,
         "expected_normal_rank": 2 * dec.n + dec.m1,
         "finite_eigenvalues": [
@@ -237,34 +222,29 @@ def _cmd_analyze_pencil(cfg: RunConfig):
             {"z": _complex_pair(z), "rank": rk} for z, rk in spec.probes
         ],
         "status": "ok",
-    }
+    })
     return report, EXIT_OK
 
 
-def _cmd_verify_riccati(cfg: RunConfig):
-    pol = _policy(cfg)
-    problem = _load_problem(cfg)
-    if not cfg.riccati:
+def _cmd_verify_riccati(args):
+    pol = _policy(args)
+    problem = _load_problem(args)
+    if not args.riccati:
         raise _CliError("verify-riccati requires --riccati", EXIT_BAD_INPUT)
-    X = _load_riccati_matrix(cfg.riccati)
+    X = _load_riccati_matrix(args.riccati)
     sigma = problem.triple
-    report = {
-        "command": "verify-riccati",
-        "seed": cfg.seed,
-        "tolerances": _tolerances(pol),
-        "problem": {"n": sigma.n, "m": sigma.m},
-    }
+    report = _report(args, pol)
+    report["problem"] = {"n": sigma.n, "m": sigma.m}
     try:
-        residual_matrix = gdare_residual(sigma, X, pol)
-        violation = kernel_condition_violation(sigma, X, pol)
+        evaluated = _evaluate(sigma, X, pol)
     except ValueError as exc:
         raise _CliError(f"invalid candidate: {exc}", EXIT_BAD_INPUT) from exc
+    *_, residual_matrix, violation = evaluated
     report["gdare_residual_matrix"] = _mat(residual_matrix)
-    report["gdare_residual_norm"] = float(np.linalg.norm(residual_matrix, 2)) \
-        if residual_matrix.size else 0.0
+    report["gdare_residual_norm"] = matrix_norm(residual_matrix)
     report["kernel_violation"] = float(violation)
     try:
-        cert = certify(sigma, X, pol)
+        cert = _certify(sigma, evaluated, pol)
     except NotRiccatiSolutionError:
         report["accepted"] = False
         report["status"] = "rejected"
@@ -276,28 +256,21 @@ def _cmd_verify_riccati(cfg: RunConfig):
     return report, EXIT_OK
 
 
-def _cmd_oracle(cfg: RunConfig):
-    pol = _policy(cfg)
-    problem = _load_problem(cfg)
+def _cmd_oracle(args):
+    pol, problem, report = _problem_report(args)
     try:
-        validate(problem, pol)
         qp = flatten(problem)
-    except (ValidationError, OracleSizeError) as exc:
+    except OracleSizeError as exc:
         raise _CliError(str(exc), EXIT_BAD_INPUT) from exc
     z, cost, feasible = solve_flat(qp, pol)
-    report = {
-        "command": "oracle",
-        "seed": cfg.seed,
-        "tolerances": _tolerances(pol),
-        "problem": {"n": problem.triple.n, "m": problem.triple.m,
-                    "q": problem.boundary.q, "T": problem.horizon},
+    report.update({
         "status": "ok" if feasible else "infeasible",
         "feasible": bool(feasible),
         "cost": float(cost),
         "x0": _mat(np.atleast_2d(z[:qp.n]))[0],
         "u": _mat(qp.controls(z)),
         "projected_gradient_norm": projected_gradient_norm(qp, z, pol),
-    }
+    })
     return report, EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
@@ -338,63 +311,56 @@ def _selftest_checks(pol: TolerancePolicy, seed: int):
     return checks
 
 
-def _cmd_selftest(cfg: RunConfig):
-    pol = _policy(cfg)
-    checks = _selftest_checks(pol, cfg.seed)
+def _cmd_selftest(args):
+    pol = _policy(args)
+    checks = _selftest_checks(pol, args.seed)
     all_passed = all(c["passed"] for c in checks)
-    report = {
-        "command": "selftest",
-        "seed": cfg.seed,
-        "tolerances": _tolerances(pol),
+    report = _report(args, pol)
+    report.update({
         "checks": checks,
         "all_passed": all_passed,
         "status": "ok" if all_passed else "failed",
-    }
+    })
     return report, EXIT_OK if all_passed else EXIT_SELFTEST_FAILED
 
 
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "analyze-pencil": _cmd_analyze_pencil,
-    "verify-riccati": _cmd_verify_riccati,
-    "oracle": _cmd_oracle,
-    "selftest": _cmd_selftest,
+    "solve": (_cmd_solve, "solve a problem file"),
+    "analyze-pencil": (_cmd_analyze_pencil, "report the pencil eigenstructure"),
+    "verify-riccati": (_cmd_verify_riccati, "certify a candidate Riccati solution"),
+    "oracle": (_cmd_oracle, "solve via the flat-QP oracle"),
+    "selftest": (_cmd_selftest, "run bundled closed-form checks"),
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one configuration; writes the JSON report to cfg.out (or
-    stdout) and returns the exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; writes the JSON report to
+    args.out (or stdout) and returns the exit code."""
+    handler, _ = _COMMANDS[args.command]
     try:
-        handler = _COMMANDS[cfg.command]
-    except KeyError:
-        _emit({"command": cfg.command, "status": "error",
-               "error": f"unknown command {cfg.command!r}"}, cfg)
-        return EXIT_BAD_INPUT
-    try:
-        report, code = handler(cfg)
+        report, code = handler(args)
     except _CliError as exc:
         status = {EXIT_NO_RICCATI: "riccati-failed",
                   EXIT_BAD_INPUT: "bad-input"}.get(exc.code, "error")
-        report = {"command": cfg.command, "status": status,
+        report = {"command": args.command, "status": status,
                   "error": str(exc)}
         code = exc.code
-    _emit(report, cfg)
+    _emit(report, args)
     return code
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
         status = report.get("status", "?")
-        line = f"{cfg.command}: {status}"
+        line = f"{args.command}: {status}"
         if "cost" in report.get("solution", {}):
             line += f", cost {report['solution']['cost']:.12g}"
         elif "cost" in report:
             line += f", cost {report['cost']:.12g}"
-        print(line + f" (report: {cfg.out})")
+        print(line + f" (report: {args.out})")
     else:
         sys.stdout.write(text)
 
@@ -405,12 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-horizon LQ control via symplectic-pencil "
                     "decomposition, with an independent QP oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("solve", "solve a problem file"),
-            ("analyze-pencil", "report the pencil eigenstructure"),
-            ("verify-riccati", "certify a candidate Riccati solution"),
-            ("oracle", "solve via the flat-QP oracle"),
-            ("selftest", "run bundled closed-form checks")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--problem", help="problem JSON file")
         p.add_argument("--riccati", help="candidate Riccati JSON file "
@@ -426,12 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, problem=args.problem,
-                    riccati=args.riccati, out=args.out,
-                    rank_tol=args.rank_tol, residual_tol=args.residual_tol,
-                    seed=args.seed)
-    return run(cfg)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

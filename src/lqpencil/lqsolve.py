@@ -46,7 +46,6 @@ from .linalg import (
     _as_vector,
     kernel_basis,
     matrix_norm,
-    pseudo_inverse,
     rank_of,
     solve_affine,
 )
@@ -185,9 +184,8 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
     return P
 
 
-@dataclass(frozen=True)
-class TrajectoryParam:
-    """Stacked operators for the reachable block over the horizon.
+def _steering_stacks(dec: PencilDecomposition, horizon: int):
+    """Stacked operators of the reachable block over the horizon.
 
     With time-reversed stacking Ustack = [u2(T-1); ...; u2(0)] and
     Xi = [xi(T-1); ...; xi(0)] (xi(t) = A_X12 x2(t) + B11 u1(t)),
@@ -195,18 +193,8 @@ class TrajectoryParam:
         x1(T) = A_X11^T x1(0) + R1 Ustack + R2 Xi,
 
     R1 = [B21 | A11 B21 | ... | A11^(T-1) B21],
-    R2 = [I | A11 | ... | A11^(T-1)].
+    R2 = [I | A11 | ... | A11^(T-1)].  Returns (R1, R2).
     """
-
-    dec: PencilDecomposition
-    horizon: int
-    gramian: np.ndarray
-    R1: np.ndarray
-    R2: np.ndarray
-
-
-def _steering_stacks(dec: PencilDecomposition, horizon: int):
-    """R1 and R2 of :class:`TrajectoryParam`."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     r = dec.r
@@ -216,15 +204,6 @@ def _steering_stacks(dec: PencilDecomposition, horizon: int):
     R2 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * r)
     R1 = (R2.reshape(r, horizon, r) @ dec.B21).reshape(r, horizon * dec.m2)
     return R1, R2
-
-
-def trajectory_param(dec: PencilDecomposition, horizon: int,
-                     pol: TolerancePolicy = DEFAULT_POLICY) -> TrajectoryParam:
-    """Assemble the endpoint gramian and stacked reachability operators."""
-    R1, R2 = _steering_stacks(dec, horizon)
-    return TrajectoryParam(dec=dec, horizon=horizon,
-                           gramian=endpoint_gramian(dec, horizon, pol),
-                           R1=R1, R2=R2)
 
 
 def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
@@ -245,7 +224,8 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
         Orthonormal basis of ker R1; adding any combination leaves the
         whole optimal trajectory's cost unchanged.
     reachable : bool
-        Whether the required endpoint displacement lies in im R1.
+        Whether the required endpoint displacement lies in im R1, by
+        the feasibility rule of :func:`solve_affine`.
     """
     R1, R2 = _steering_stacks(dec, horizon)
     x1_0 = _as_vector(x1_0, "x1_0")
@@ -253,10 +233,7 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     xi = np.asarray(xi_seq, dtype=float).reshape(horizon, dec.r)
     target = x1_T - np.linalg.matrix_power(dec.A_X11, horizon) @ x1_0 \
         - R2 @ xi[::-1].reshape(-1)
-    u_stack = pseudo_inverse(R1, pol) @ target
-    residual = np.linalg.norm(R1 @ u_stack - target)
-    reachable = bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(target)))
-    return u_stack, kernel_basis(R1, pol), reachable
+    return solve_affine(R1, target, pol)
 
 
 @dataclass(frozen=True)
@@ -308,7 +285,7 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     E_x[n + r:2 * n, c_l2T:c_l2T + nr] = P_g
 
     E_lhat = np.zeros((2 * n, 2 * n))
-    E_lhat[r:n, c_l2T:c_l2T + nr] = np.linalg.matrix_power(dec.A_X22.T, T_h)
+    E_lhat[r:n, c_l2T:c_l2T + nr] = A22_pow.T
     E_lhat[n + r:2 * n, c_l2T:c_l2T + nr] = np.eye(nr)
 
     Xt = U.T @ cert.X @ U

@@ -311,12 +311,21 @@ def _get_vector(doc, key, length):
     return v
 
 
+def _get_dimension(doc, key):
+    if key not in doc:
+        raise ProblemFormatError(f"missing field {key!r}")
+    val = doc[key]
+    whole = (isinstance(val, int) and not isinstance(val, bool)) or \
+        (isinstance(val, float) and val.is_integer())
+    if not whole or val < 0:
+        raise ProblemFormatError(
+            f"field {key!r} must be a non-negative integer, got {val!r}")
+    return int(val)
+
+
 def problem_from_dict(doc: dict) -> LqProblem:
     """Build an LqProblem from its JSON document (see module comment)."""
-    try:
-        n, m, q, T = (int(doc[k]) for k in ("n", "m", "q", "T"))
-    except KeyError as exc:
-        raise ProblemFormatError(f"missing field {exc.args[0]!r}") from exc
+    n, m, q, T = (_get_dimension(doc, k) for k in ("n", "m", "q", "T"))
     A = _get_matrix(doc, "A", (n, n))
     B = _get_matrix(doc, "B", (n, m))
     Q = _get_matrix(doc, "Q", (n, n))

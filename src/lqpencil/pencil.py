@@ -32,7 +32,6 @@ from .linalg import (
     DEFAULT_POLICY,
     DimensionMismatchError,
     TolerancePolicy,
-    _as_matrix,
     image_basis,
     kernel_basis,
     matrix_norm,
@@ -245,29 +244,13 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
         pencil=build_esp(cert.sigma))
 
 
-def _block_permutations(r: int, nr: int, m1: int, m2: int):
-    """Row/column permutation matrices taking the transformed pencil,
-    with blocks ordered (x1, x2, l1, l2, u1, u2), to the canonical
-    layout: rows (x1, l1, u2, x2, l2, u1), columns (x1, u2, l1, x2, l2, u1).
-    """
-    sizes = [r, nr, r, nr, m1, m2]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    idx = [np.arange(offsets[k], offsets[k + 1]) for k in range(6)]
-    row_order = np.concatenate([idx[k] for k in (0, 2, 5, 1, 3, 4)])
-    col_order = np.concatenate([idx[k] for k in (0, 5, 2, 1, 3, 4)])
-    size = offsets[-1]
-    eye = np.eye(size)
-    omega1 = eye[row_order.astype(int), :]
-    omega2 = eye[:, col_order.astype(int)]
-    return omega1, omega2
-
-
 def canonical_form(dec: PencilDecomposition) -> Pencil:
     """The fully displayed canonical pencil.
 
-    Applies, on top of the block-triangular congruence, the input split
-    T = [T1 T2], the reachability coordinates U, and the block
-    permutations, yielding (with nr = n - r)
+    Applies, on top of the block-triangular congruence, the orthogonal
+    L = blkdiag(U, U, [T1 T2]) of the reachability coordinates and the
+    input split, as L' U_X (N - zM) V_X L, and reorders its blocks by
+    index, yielding (with nr = n - r)
 
         rows (x1, l1, u2, x2, l2, u1), cols (x1, u2, l1, x2, l2, u1):
 
@@ -282,23 +265,22 @@ def canonical_form(dec: PencilDecomposition) -> Pencil:
     rank deficiency of the (l1-row, u2-column) zero structure encodes
     the singular part of the pencil.
     """
-    cert, split = dec.cert, dec.split
-    n, m = cert.sigma.n, cert.sigma.m
-    esp = dec.pencil
-    T = np.hstack([split.T1, split.T2])
-    U = dec.U
-    That = np.eye(2 * n + m)
-    That[2 * n:, 2 * n:] = T
-    Uhat = np.eye(2 * n + m)
-    Uhat[:n, :n] = U
-    Uhat[n:2 * n, n:2 * n] = U
-    Uhat_inv = np.linalg.inv(Uhat)
-    omega1, omega2 = _block_permutations(dec.r, n - dec.r, dec.m1, dec.m2)
+    n, m = dec.n, dec.m1 + dec.m2
+    L = np.zeros((2 * n + m, 2 * n + m))
+    L[:n, :n] = dec.U
+    L[n:2 * n, n:2 * n] = dec.U
+    L[2 * n:, 2 * n:] = np.hstack([dec.split.T1, dec.split.T2])
+    # transformed blocks are ordered (x1, x2, l1, l2, u1, u2)
+    sizes = (dec.r, n - dec.r, dec.r, n - dec.r, dec.m1, dec.m2)
+    ends = np.cumsum(sizes)
+    block = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
+    rows = np.concatenate([block[k] for k in (0, 2, 5, 1, 3, 4)])
+    cols = np.concatenate([block[k] for k in (0, 5, 2, 1, 3, 4)])
 
     def transform(W):
-        return omega1 @ Uhat_inv @ That.T @ (dec.U_X @ W @ dec.V_X) @ That @ Uhat @ omega2
+        return (L.T @ dec.U_X @ W @ dec.V_X @ L)[np.ix_(rows, cols)]
 
-    return Pencil(transform(esp.N), transform(esp.M))
+    return Pencil(transform(dec.pencil.N), transform(dec.pencil.M))
 
 
 def probe_ranks(p: Pencil, pol: TolerancePolicy = DEFAULT_POLICY,

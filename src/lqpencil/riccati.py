@@ -84,19 +84,33 @@ def _derived(sigma: PopovTriple, X, pol):
     return S_X, R_X, Rp, K_X, G_X
 
 
+def _evaluate(sigma: PopovTriple, X, pol):
+    """Check a candidate and compute, once, everything its tests read.
+
+    Returns (X, S_X, R_X, K_X, G_X, residual, violation) with X
+    symmetrised, the residual matrix X - A'XA + S_X R_X^+ S_X' - Q and
+    the violation ||S_X G_X||, which is zero iff ker R_X <= ker S_X.
+    """
+    X = _check_candidate(sigma, X, pol)
+    S_X, R_X, Rp, K_X, G_X = _derived(sigma, X, pol)
+    residual = X - sigma.A.T @ X @ sigma.A + S_X @ Rp @ S_X.T - sigma.Q
+    return X, S_X, R_X, K_X, G_X, residual, matrix_norm(S_X @ G_X)
+
+
+def _threshold(sigma: PopovTriple, X, pol) -> float:
+    """Acceptance threshold residual_tol * (1 + ||Pi|| + ||X||)."""
+    return pol.residual_tol * (1.0 + matrix_norm(sigma.pi) + matrix_norm(X))
+
+
 def gdare_residual(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Residual matrix X - A'XA + S_X R_X^+ S_X' - Q of a symmetric candidate."""
-    X = _check_candidate(sigma, X, pol)
-    S_X, _, Rp, _, _ = _derived(sigma, X, pol)
-    return X - sigma.A.T @ X @ sigma.A + S_X @ Rp @ S_X.T - sigma.Q
+    return _evaluate(sigma, X, pol)[5]
 
 
 def kernel_condition_violation(sigma: PopovTriple, X,
                                pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Spectral norm of S_X G_X; zero iff ker R_X <= ker S_X."""
-    X = _check_candidate(sigma, X, pol)
-    S_X, _, _, _, G_X = _derived(sigma, X, pol)
-    return matrix_norm(S_X @ G_X)
+    return _evaluate(sigma, X, pol)[6]
 
 
 @dataclass(frozen=True)
@@ -127,12 +141,14 @@ def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> Ric
     NotRiccatiSolutionError
         Carrying both residual norms, when either check fails.
     """
-    Xs = _check_candidate(sigma, X, pol)
-    S_X, R_X, Rp, K_X, G_X = _derived(sigma, Xs, pol)
-    res = Xs - sigma.A.T @ Xs @ sigma.A + S_X @ Rp @ S_X.T - sigma.Q
+    return _certify(sigma, _evaluate(sigma, X, pol), pol)
+
+
+def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
+    """:func:`certify` on the output of :func:`_evaluate`."""
+    Xs, S_X, R_X, K_X, G_X, res, viol = evaluated
     res_norm = matrix_norm(res)
-    viol = matrix_norm(S_X @ G_X)
-    threshold = pol.residual_tol * (1.0 + matrix_norm(sigma.pi) + matrix_norm(Xs))
+    threshold = _threshold(sigma, Xs, pol)
     if res_norm > threshold or viol > threshold:
         raise NotRiccatiSolutionError(
             f"X is not a CGDARE solution (residual {res_norm:.3e}, "
@@ -227,8 +243,7 @@ def iterate_grde(sigma: PopovTriple, X0=None, max_iters: int = 5000,
     try:
         return certify(sigma, X, pol)
     except NotRiccatiSolutionError as exc:
-        threshold = pol.residual_tol * (1.0 + matrix_norm(sigma.pi) + matrix_norm(X))
-        if exc.kernel_violation is not None and exc.kernel_violation > threshold:
+        if exc.kernel_violation > _threshold(sigma, X, pol):
             raise RiccatiKernelConditionError(
                 f"iteration limit violates the kernel condition "
                 f"(||S_X G_X|| = {exc.kernel_violation:.3e})") from exc

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from lqpencil import BoundarySpec, LqProblem, PopovTriple, save_problem
+from lqpencil import BoundarySpec, LqProblem, PopovTriple, riccati, save_problem
 from lqpencil.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
@@ -103,6 +103,27 @@ def test_verify_riccati_rejects_zero(problem_path, tmp_path, capsys):
     assert doc["accepted"] is False
     np.testing.assert_allclose(doc["gdare_residual_matrix"],
                                [[0.0, 0.0], [0.0, -1.0]], atol=1e-14)
+
+
+def test_verify_riccati_evaluates_candidate_once(problem_path, tmp_path,
+                                                 capsys, monkeypatch):
+    calls = []
+    derived = riccati._derived
+
+    def spy(*args):
+        calls.append(1)
+        return derived(*args)
+
+    monkeypatch.setattr(riccati, "_derived", spy)
+    for X, expected in (([[0.0, 0.0], [0.0, 1.0]], EXIT_OK),
+                        ([[0.0, 0.0], [0.0, 0.0]], EXIT_NO_RICCATI)):
+        xfile = tmp_path / "X.json"
+        xfile.write_text(json.dumps({"X": X}))
+        calls.clear()
+        code, _ = run_cli(["verify-riccati", "--problem", problem_path,
+                           "--riccati", str(xfile)], capsys)
+        assert code == expected
+        assert len(calls) == 1
 
 
 def test_oracle_subcommand(problem_path, capsys):
@@ -205,6 +226,25 @@ def test_bad_input_exit_codes(tmp_path, capsys):
                        str(bundled_problem_path()), "--riccati", str(bad_x)],
                       capsys)
     assert code == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "abc"), ("n", None), ("n", -1), ("T", 2.5), ("n", 1.7),
+    ("q", -1),
+])
+def test_malformed_dimension_is_bad_input(problem_path, tmp_path, capsys,
+                                          key, value):
+    with open(problem_path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "analyze-pencil", "oracle"):
+        code, out = run_cli([command, "--problem", str(path)], capsys)
+        assert code == EXIT_BAD_INPUT
+        doc_out = last_json(out)
+        assert doc_out["status"] == "bad-input"
+        assert f"field '{key}'" in doc_out["error"]
 
 
 def test_custom_tolerances_accepted(problem_path, capsys):

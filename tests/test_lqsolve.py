@@ -27,12 +27,11 @@ from lqpencil import (
     solve_problem,
     solve_with_decomposition,
     split_inputs,
-    trajectory_param,
     verify_stationarity,
 )
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution
 from lqpencil.linalg import solve_affine
-from lqpencil.lqsolve import _sweep
+from lqpencil.lqsolve import _steering_stacks, _sweep
 from lqpencil.pencil import DecompositionError, PencilDecomposition
 from lqpencil.riccati import (
     InputSplit,
@@ -196,13 +195,13 @@ def test_endpoint_gramian_stein_check_on_mixed_spectrum():
 
 
 def test_trajectory_param_stacks(sing_dec):
-    tp = trajectory_param(sing_dec, 3)
-    assert tp.R1.shape == (1, 3)
-    assert tp.R2.shape == (1, 3)
+    R1, R2 = _steering_stacks(sing_dec, 3)
+    assert R1.shape == (1, 3)
+    assert R2.shape == (1, 3)
     b = sing_dec.B21[0, 0]
     # A_X11 = 1: all columns equal
-    np.testing.assert_allclose(tp.R1, [[b, b, b]], atol=1e-14)
-    np.testing.assert_allclose(tp.R2, [[1.0, 1.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(R1, [[b, b, b]], atol=1e-14)
+    np.testing.assert_allclose(R2, [[1.0, 1.0, 1.0]], atol=1e-14)
 
 
 def test_free_control_steering_order():

@@ -211,3 +211,20 @@ def test_malformed_documents_rejected(cyclic, tmp_path):
     path.write_text("{not json")
     with pytest.raises(ProblemFormatError):
         load_problem(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "abc"), ("n", None), ("n", -1), ("T", 2.5), ("n", 1.7),
+    ("q", -1), ("m", True), ("T", float("nan")),
+])
+def test_malformed_dimensions_rejected(cyclic, key, value):
+    doc = problem_to_dict(cyclic)
+    doc[key] = value
+    with pytest.raises(ProblemFormatError, match=f"field '{key}'"):
+        problem_from_dict(doc)
+
+
+def test_integral_float_dimensions_accepted(cyclic):
+    doc = problem_to_dict(cyclic)
+    doc["T"] = float(doc["T"])
+    assert problem_from_dict(doc).horizon == cyclic.horizon

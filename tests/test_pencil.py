@@ -232,6 +232,32 @@ def test_canonical_form_random_singular_instances(pol):
         done += 1
 
 
+def test_canonical_form_empty_blocks():
+    """The canonical reordering with empty blocks: a regular
+    decomposition (r = 0, m2 = 0, so x1, l1 and u2 are empty) and an
+    all-free one (Pi = 0 and X = 0, so m1 = 0 and, with (A, B)
+    reachable, x2, l2 and u1 are empty)."""
+    rng = np.random.default_rng(17)
+    n, m = 3, 2
+    A, B = rng.normal(size=(n, n)), rng.normal(size=(n, m))
+    W = rng.normal(size=(n + m + 1, n + m))
+    pi = W.T @ W
+    regular = iterate_grde(PopovTriple(0.5 * A, B, pi[:n, :n], pi[:n, n:],
+                                       pi[n:, n:]))
+    free = certify(PopovTriple(A, B, np.zeros((n, n)), np.zeros((n, m)),
+                               np.zeros((m, m))), np.zeros((n, n)))
+    cases = []
+    for cert in (regular, free):
+        dec = reachability_decomposition(cert, split_inputs(cert))
+        cases.append((dec.r, dec.m1, dec.m2))
+        can = canonical_form(dec)
+        scale = 1.0 + np.abs(can.N).max() + np.abs(can.M).max()
+        for z in (0.0, 1.0, 2.5, -0.3):
+            np.testing.assert_allclose(can.at(z), esp_blocks(dec, z),
+                                       atol=1e-12 * scale)
+    assert cases == [(0, m, 0), (n, 0, m)]
+
+
 def test_probe_ranks_deterministic(sing_triple):
     p = build_esp(sing_triple)
     a = probe_ranks(p)
