@@ -11,77 +11,47 @@ regular part and a free part, assembles a square boundary system, and
 returns an optimal trajectory together with a parameterization of the
 whole optimal set.  A flat-QP oracle provides an algorithmically
 independent cross-check.
+
+The top level holds the solve pipeline and the complete set of error
+types it raises.  Everything else stays importable from its module,
+e.g. ``lqpencil.pencil.generalized_spectrum``.
 """
 
-from .linalg import (
-    DEFAULT_POLICY,
-    DimensionMismatchError,
-    NonFiniteMatrixError,
-    TolerancePolicy,
-    image_basis,
-    kernel_basis,
-    pseudo_inverse,
-    rank_of,
-    solve_affine,
-)
+from .linalg import DimensionMismatchError, NonFiniteMatrixError, TolerancePolicy
 from .lqsolve import (
-    BoundarySystem,
     HorizonTooShortError,
     InfeasibleProblemError,
     LqSolution,
+    LqSolveError,
     StationarityReport,
-    assemble_boundary,
-    control_free_param,
-    controllability_index,
-    endpoint_gramian,
-    free_control_for_chi,
-    reconstruct_trajectories,
     solve_problem,
-    solve_with_decomposition,
     verify_stationarity,
 )
 from .model import (
     BoundarySpec,
+    ConstraintRankError,
     IndefiniteCostError,
     IndefinitePenaltyError,
-    ConstraintRankError,
     LqProblem,
     PopovTriple,
     ProblemFormatError,
     ValidationError,
-    evaluate_cost,
-    factor_cost,
     load_problem,
-    problem_from_dict,
-    problem_to_dict,
     save_problem,
     validate,
 )
-from .oracle import FlatQp, OracleSizeError, flatten, solve_flat
-from .pencil import (
-    Pencil,
-    PencilDecomposition,
-    PencilSpectrum,
-    build_esp,
-    canonical_form,
-    generalized_spectrum,
-    normal_rank,
-    reachability_decomposition,
-    riccati_congruence,
-)
+from .oracle import OracleSizeError, UnboundedObjectiveError, flatten, solve_flat
+from .pencil import DecompositionError
 from .riccati import (
-    InputSplit,
     NotRiccatiSolutionError,
+    NotSymmetricError,
     RiccatiCertificate,
     RiccatiDivergenceError,
+    RiccatiIterationError,
     RiccatiKernelConditionError,
     RiccatiNoConvergenceError,
     certify,
-    check_solution_pair_invariants,
-    gdare_residual,
     iterate_grde,
-    kernel_condition_violation,
-    split_inputs,
 )
 
 __version__ = "0.1.0"

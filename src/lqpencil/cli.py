@@ -13,7 +13,9 @@ selftest        Run the bundled closed-form checks.
 
 Exit codes: 0 success, 1 selftest failure, 2 infeasible problem (or a
 horizon too short to decide feasibility), 3 no Riccati solution found
-or candidate rejected, 4 bad input.
+or candidate rejected, 4 bad input (including a stage cost that is not
+positive semidefinite), 5 an internal consistency check of the pencil
+decomposition failed.
 
 Reports are JSON with a fixed key order, so identical inputs and seed
 produce byte-identical output.
@@ -44,6 +46,7 @@ from .model import (
 from .oracle import OracleSizeError, flatten, projected_gradient_norm, solve_flat
 from .pencil import (
     DEFAULT_SEED,
+    DecompositionError,
     generalized_spectrum,
     reachability_decomposition,
 )
@@ -62,6 +65,11 @@ EXIT_SELFTEST_FAILED = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_RICCATI = 3
 EXIT_BAD_INPUT = 4
+EXIT_DECOMPOSITION_FAILED = 5
+
+_ERROR_STATUS = {EXIT_NO_RICCATI: "riccati-failed",
+                 EXIT_BAD_INPUT: "bad-input",
+                 EXIT_DECOMPOSITION_FAILED: "decomposition-failed"}
 
 
 class _CliError(Exception):
@@ -249,6 +257,8 @@ def _cmd_verify_riccati(args):
         report["accepted"] = False
         report["status"] = "rejected"
         return report, EXIT_NO_RICCATI
+    except ValidationError as exc:
+        raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc
     report["accepted"] = True
     report["status"] = "ok"
     report["derived"] = {"R_X": _mat(cert.R_X), "K_X": _mat(cert.K_X),
@@ -339,12 +349,10 @@ def run(args: argparse.Namespace) -> int:
     handler, _ = _COMMANDS[args.command]
     try:
         report, code = handler(args)
-    except _CliError as exc:
-        status = {EXIT_NO_RICCATI: "riccati-failed",
-                  EXIT_BAD_INPUT: "bad-input"}.get(exc.code, "error")
-        report = {"command": args.command, "status": status,
+    except (_CliError, DecompositionError) as exc:
+        code = exc.code if isinstance(exc, _CliError) else EXIT_DECOMPOSITION_FAILED
+        report = {"command": args.command, "status": _ERROR_STATUS[code],
                   "error": str(exc)}
-        code = exc.code
     _emit(report, args)
     return code
 

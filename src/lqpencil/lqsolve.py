@@ -46,7 +46,6 @@ from .linalg import (
     _as_vector,
     kernel_basis,
     matrix_norm,
-    rank_of,
     solve_affine,
 )
 from .model import LqProblem, evaluate_cost, validate
@@ -67,31 +66,6 @@ class HorizonTooShortError(LqSolveError):
     """The horizon is shorter than the controllability index of the
     reachable block, so the endpoint map is rank-deficient and
     solvability of the boundary system no longer decides feasibility."""
-
-
-def controllability_index(A, B, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Smallest k with rank [B, AB, ..., A^(k-1)B] equal to its limit.
-
-    For a reachable pair this is the usual controllability index; the
-    pair (A_X11, B21) produced by the decomposition is reachable by
-    construction.
-    """
-    d = A.shape[0]
-    if d == 0:
-        return 0
-    blocks = []
-    prev = 0
-    mat = B
-    for k in range(1, d + 1):
-        blocks.append(mat)
-        rk = rank_of(np.hstack(blocks), pol)
-        if rk == prev:
-            return k - 1
-        if rk == d:
-            return k
-        prev = rk
-        mat = A @ mat
-    return d
 
 
 def _scan(A: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -454,10 +428,9 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
     T_h = problem.horizon
     r = dec.r
 
-    idx = controllability_index(dec.A_X11, dec.B21, pol)
-    if T_h < idx:
+    if T_h < dec.index:
         raise HorizonTooShortError(
-            f"horizon {T_h} is below the controllability index {idx}")
+            f"horizon {T_h} is below the controllability index {dec.index}")
 
     bs = assemble_boundary(problem, dec, pol)
     chi, free_boundary, feasible = solve_affine(bs.F, bs.g, pol)

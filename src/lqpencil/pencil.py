@@ -37,9 +37,10 @@ from .linalg import (
     matrix_norm,
     orthonormal_complement,
     rank_of,
+    subspace_distance,
 )
 from .model import PopovTriple
-from .riccati import InputSplit, RiccatiCertificate
+from .riccati import InputSplit, RiccatiCertificate, split_inputs
 
 DEFAULT_SEED = 1729
 
@@ -161,9 +162,9 @@ class PencilDecomposition:
         U' A_X U = [[A_X11, A_X12], [0, A_X22]],
         U' B1    = [[B11], [B12]],     U' B2 = [[B21], [0]],
 
-    with (A_X11, B21) reachable.  Everything downstream (canonical
-    pencil form, spectrum, trajectory parameterization) reads off
-    these blocks.
+    with (A_X11, B21) reachable and ``index`` its controllability
+    index.  Everything downstream (canonical pencil form, spectrum,
+    trajectory parameterization) reads off these blocks.
     """
 
     cert: RiccatiCertificate
@@ -172,6 +173,7 @@ class PencilDecomposition:
     V_X: np.ndarray
     U: np.ndarray
     r: int
+    index: int
     A_X11: np.ndarray
     A_X12: np.ndarray
     A_X22: np.ndarray
@@ -204,6 +206,30 @@ def _reachable_basis(A, B, pol) -> np.ndarray:
     return image_basis(np.hstack(blocks), pol)
 
 
+def _controllability_index(A, B, pol) -> int:
+    """Smallest k with rank [B, AB, ..., A^(k-1)B] equal to dim A.
+
+    Raises
+    ------
+    DecompositionError
+        If the rank of the prefixes stalls below dim A, i.e. the pair
+        is not reachable.
+    """
+    d = A.shape[0]
+    if d == 0:
+        return 0
+    blocks, prev = [B], 0
+    for k in range(1, d + 1):
+        rk = rank_of(np.hstack(blocks), pol)
+        if rk == d:
+            return k
+        if rk == prev:
+            break
+        prev = rk
+        blocks.append(A @ blocks[-1])
+    raise DecompositionError("(A_X11, B21) is not reachable")
+
+
 def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
                                pol: TolerancePolicy = DEFAULT_POLICY) -> PencilDecomposition:
     """Stage the closed-loop pair (A_X, B2) into reachable/unreachable blocks.
@@ -213,7 +239,9 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
     DecompositionError
         If the computed basis fails the invariance checks (the lower-left
         block of U' A_X U or the lower block of U' B2 is not negligible),
-        or if (A_X11, B21) fails to be reachable.
+        or if (A_X11, B21) is not reachable: the ranks of the prefixes
+        of its Krylov stack, which give its controllability index,
+        stall below r.
     """
     A_X = cert.A_X
     n = A_X.shape[0]
@@ -233,12 +261,11 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
 
     A11, A12, A22 = At[:r, :r], At[:r, r:], At[r:, r:]
     B21 = Bt2[:r, :]
-    if _reachable_basis(A11, B21, pol).shape[1] != r:
-        raise DecompositionError("(A_X11, B21) is not reachable")
+    index = _controllability_index(A11, B21, pol)
 
     U_X, V_X = riccati_congruence(cert, pol)
     return PencilDecomposition(
-        cert=cert, split=split, U_X=U_X, V_X=V_X, U=U, r=r,
+        cert=cert, split=split, U_X=U_X, V_X=V_X, U=U, r=r, index=index,
         A_X11=A11, A_X12=A12, A_X22=A22,
         B11=Bt1[:r, :], B12=Bt1[r:, :], B21=B21,
         pencil=build_esp(cert.sigma))
@@ -439,3 +466,67 @@ def generalized_spectrum(dec: PencilDecomposition,
         refined_geometric=int(m1 + ref_geo),
         probes=probes,
     )
+
+
+@dataclass(frozen=True)
+class SolutionPairReport:
+    """Invariants shared by any two CGDARE solutions of one triple.
+
+    All entries are distances/residuals; ``passed`` is their comparison
+    against eig_match_tol.  For any two solutions X, Y: ker R_X = ker R_Y,
+    the closed-loop reachable subspaces coincide, and A_X, A_Y agree on
+    that subspace.  Additionally ker R_X = ker(X B) ∩ ker R and the
+    reachable subspace lies in ker C_X.
+    """
+
+    kernel_distance: float
+    reachable_distance: float
+    restriction_residual: float
+    output_nulling_residual: float
+    kernel_intersection_distance: float
+    passed: bool
+
+
+def check_solution_pair_invariants(c1: RiccatiCertificate, c2: RiccatiCertificate,
+                                   pol: TolerancePolicy = DEFAULT_POLICY) -> SolutionPairReport:
+    """Check the solution-independent structure shared by two certificates.
+
+    Raises
+    ------
+    DimensionMismatchError
+        When the certificates come from different Popov triples.
+    """
+    s1, s2 = c1.sigma, c2.sigma
+    same = all(np.array_equal(getattr(s1, k), getattr(s2, k))
+               for k in ("A", "B", "Q", "S", "R"))
+    if not same:
+        raise DimensionMismatchError("certificates come from different triples")
+
+    ker1 = kernel_basis(c1.R_X, pol)
+    ker2 = kernel_basis(c2.R_X, pol)
+    kernel_distance = subspace_distance(ker1, ker2)
+
+    d1 = reachability_decomposition(c1, split_inputs(c1, pol), pol)
+    d2 = reachability_decomposition(c2, split_inputs(c2, pol), pol)
+    W1 = d1.U[:, :d1.r]
+    W2 = d2.U[:, :d2.r]
+    reachable_distance = subspace_distance(W1, W2)
+
+    scale = 1.0 + matrix_norm(c1.A_X) + matrix_norm(c2.A_X)
+    restriction_residual = matrix_norm((c1.A_X - c2.A_X) @ W1) / scale
+
+    output_nulling_residual = max(matrix_norm(c1.C_X @ W1), matrix_norm(c2.C_X @ W2))
+
+    inter1 = kernel_basis(np.vstack([c1.X @ s1.B, s1.R]), pol)
+    kernel_intersection_distance = subspace_distance(ker1, inter1)
+
+    passed = all(val <= pol.eig_match_tol for val in (
+        kernel_distance, reachable_distance, restriction_residual,
+        output_nulling_residual, kernel_intersection_distance))
+    return SolutionPairReport(
+        kernel_distance=float(kernel_distance),
+        reachable_distance=float(reachable_distance),
+        restriction_residual=float(restriction_residual),
+        output_nulling_residual=float(output_nulling_residual),
+        kernel_intersection_distance=float(kernel_intersection_distance),
+        passed=passed)

@@ -30,7 +30,6 @@ from .linalg import (
     kernel_basis,
     matrix_norm,
     pseudo_inverse,
-    subspace_distance,
 )
 from .model import PopovTriple, factor_cost
 
@@ -140,6 +139,9 @@ def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> Ric
     ------
     NotRiccatiSolutionError
         Carrying both residual norms, when either check fails.
+    IndefiniteCostError
+        When X passes both checks but Pi is not positive semidefinite,
+        so that the certificate's output matrix C_X does not exist.
     """
     return _certify(sigma, _evaluate(sigma, X, pol), pol)
 
@@ -249,69 +251,3 @@ def iterate_grde(sigma: PopovTriple, X0=None, max_iters: int = 5000,
                 f"(||S_X G_X|| = {exc.kernel_violation:.3e})") from exc
         raise RiccatiNoConvergenceError(
             f"iteration limit fails certification: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class SolutionPairReport:
-    """Invariants shared by any two CGDARE solutions of one triple.
-
-    All entries are distances/residuals; ``passed`` is their comparison
-    against eig_match_tol.  For any two solutions X, Y: ker R_X = ker R_Y,
-    the closed-loop reachable subspaces coincide, and A_X, A_Y agree on
-    that subspace.  Additionally ker R_X = ker(X B) ∩ ker R and the
-    reachable subspace lies in ker C_X.
-    """
-
-    kernel_distance: float
-    reachable_distance: float
-    restriction_residual: float
-    output_nulling_residual: float
-    kernel_intersection_distance: float
-    passed: bool
-
-
-def check_solution_pair_invariants(c1: RiccatiCertificate, c2: RiccatiCertificate,
-                                   pol: TolerancePolicy = DEFAULT_POLICY) -> SolutionPairReport:
-    """Check the solution-independent structure shared by two certificates.
-
-    Raises
-    ------
-    DimensionMismatchError
-        When the certificates come from different Popov triples.
-    """
-    s1, s2 = c1.sigma, c2.sigma
-    same = all(np.array_equal(getattr(s1, k), getattr(s2, k))
-               for k in ("A", "B", "Q", "S", "R"))
-    if not same:
-        raise DimensionMismatchError("certificates come from different triples")
-
-    from .pencil import reachability_decomposition  # local: avoids module cycle
-
-    ker1 = kernel_basis(c1.R_X, pol)
-    ker2 = kernel_basis(c2.R_X, pol)
-    kernel_distance = subspace_distance(ker1, ker2)
-
-    d1 = reachability_decomposition(c1, split_inputs(c1, pol), pol)
-    d2 = reachability_decomposition(c2, split_inputs(c2, pol), pol)
-    W1 = d1.U[:, :d1.r]
-    W2 = d2.U[:, :d2.r]
-    reachable_distance = subspace_distance(W1, W2)
-
-    scale = 1.0 + matrix_norm(c1.A_X) + matrix_norm(c2.A_X)
-    restriction_residual = matrix_norm((c1.A_X - c2.A_X) @ W1) / scale
-
-    output_nulling_residual = max(matrix_norm(c1.C_X @ W1), matrix_norm(c2.C_X @ W2))
-
-    inter1 = kernel_basis(np.vstack([c1.X @ s1.B, s1.R]), pol)
-    kernel_intersection_distance = subspace_distance(ker1, inter1)
-
-    passed = all(val <= pol.eig_match_tol for val in (
-        kernel_distance, reachable_distance, restriction_residual,
-        output_nulling_residual, kernel_intersection_distance))
-    return SolutionPairReport(
-        kernel_distance=float(kernel_distance),
-        reachable_distance=float(reachable_distance),
-        restriction_residual=float(restriction_residual),
-        output_nulling_residual=float(output_nulling_residual),
-        kernel_intersection_distance=float(kernel_intersection_distance),
-        passed=passed)

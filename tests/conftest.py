@@ -4,17 +4,10 @@ problem families (regular R > 0 and singular R)."""
 import numpy as np
 import pytest
 
-from lqpencil import (
-    BoundarySpec,
-    LqProblem,
-    PopovTriple,
-    TolerancePolicy,
-    certify,
-    reachability_decomposition,
-    split_inputs,
-)
+from lqpencil import BoundarySpec, LqProblem, PopovTriple, TolerancePolicy, certify
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution, singular_triple
-from lqpencil.lqsolve import controllability_index
+from lqpencil.pencil import reachability_decomposition
+from lqpencil.riccati import split_inputs
 
 
 @pytest.fixture(scope="session")
@@ -78,8 +71,7 @@ def attach_random_boundary(rng, triple, dec, extra_horizon=3):
     """Random boundary data with a horizon above the controllability
     index of the reachable block."""
     n = triple.n
-    idx = controllability_index(dec.A_X11, dec.B21)
-    T = idx + int(rng.integers(1, extra_horizon + 1))
+    T = dec.index + int(rng.integers(1, extra_horizon + 1))
     q = int(rng.integers(0, 2 * n + 1))
     Wh = rng.normal(size=(2 * n + 1, 2 * n))
     bd = BoundarySpec(rng.normal(size=(q, n)), rng.normal(size=(q, n)),

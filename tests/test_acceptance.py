@@ -29,19 +29,12 @@ import numpy as np
 
 from lqpencil import (
     InfeasibleProblemError,
+    RiccatiIterationError,
     certify,
-    endpoint_gramian,
-    evaluate_cost,
     flatten,
-    free_control_for_chi,
-    generalized_spectrum,
     iterate_grde,
-    reachability_decomposition,
-    reconstruct_trajectories,
     solve_flat,
     solve_problem,
-    solve_with_decomposition,
-    split_inputs,
 )
 from lqpencil.cli import EXIT_OK, main
 from lqpencil.fixtures import (
@@ -51,7 +44,15 @@ from lqpencil.fixtures import (
     singular_triple,
 )
 from lqpencil.linalg import solve_affine
-from lqpencil.riccati import RiccatiIterationError
+from lqpencil.lqsolve import (
+    endpoint_gramian,
+    free_control_for_chi,
+    reconstruct_trajectories,
+    solve_with_decomposition,
+)
+from lqpencil.model import evaluate_cost
+from lqpencil.pencil import generalized_spectrum, reachability_decomposition
+from lqpencil.riccati import split_inputs
 
 from conftest import (
     attach_random_boundary,

@@ -6,9 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from lqpencil import BoundarySpec, LqProblem, PopovTriple, riccati, save_problem
+from lqpencil import (
+    BoundarySpec,
+    DecompositionError,
+    LqProblem,
+    PopovTriple,
+    cli,
+    riccati,
+    save_problem,
+)
 from lqpencil.cli import (
     EXIT_BAD_INPUT,
+    EXIT_DECOMPOSITION_FAILED,
     EXIT_INFEASIBLE,
     EXIT_NO_RICCATI,
     EXIT_OK,
@@ -126,6 +135,22 @@ def test_verify_riccati_evaluates_candidate_once(problem_path, tmp_path,
         assert len(calls) == 1
 
 
+def test_verify_riccati_indefinite_cost_is_bad_input(tmp_path, capsys):
+    # Pi = diag(-1, 1): X = -1 solves the Riccati equation exactly, but
+    # the certificate needs a factor [C D] of Pi, which does not exist
+    triple = PopovTriple([[0.0]], [[0.0]], [[-1.0]], [[0.0]], [[1.0]])
+    path = tmp_path / "indefinite.json"
+    save_problem(LqProblem(triple, 2, BoundarySpec.unconstrained(1)), path)
+    xfile = tmp_path / "X.json"
+    xfile.write_text(json.dumps({"X": [[-1.0]]}))
+    code, out = run_cli(["verify-riccati", "--problem", str(path),
+                         "--riccati", str(xfile)], capsys)
+    assert code == EXIT_BAD_INPUT
+    doc = last_json(out)
+    assert doc["status"] == "bad-input"
+    assert "not positive semidefinite" in doc["error"]
+
+
 def test_oracle_subcommand(problem_path, capsys):
     code, out = run_cli(["oracle", "--problem", problem_path], capsys)
     assert code == EXIT_OK
@@ -201,6 +226,23 @@ def test_riccati_failure_exit_code(tmp_path, capsys):
     code, out = run_cli(["solve", "--problem", str(path)], capsys)
     assert code == EXIT_NO_RICCATI
     assert last_json(out)["status"] == "riccati-failed"
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("solve", "solve_with_decomposition"),
+    ("analyze-pencil", "reachability_decomposition"),
+])
+def test_decomposition_failure_exit_code(problem_path, capsys, monkeypatch,
+                                         command, stage):
+    def fail(*args, **kwargs):
+        raise DecompositionError("reconstructed x1(T) misses its target")
+
+    monkeypatch.setattr(cli, stage, fail)
+    code, out = run_cli([command, "--problem", problem_path], capsys)
+    assert code == EXIT_DECOMPOSITION_FAILED == 5
+    assert last_json(out) == {"command": command,
+                              "status": "decomposition-failed",
+                              "error": "reconstructed x1(T) misses its target"}
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

@@ -4,17 +4,17 @@ affine solves."""
 import numpy as np
 import pytest
 
-from lqpencil import (
-    DimensionMismatchError,
-    NonFiniteMatrixError,
-    TolerancePolicy,
+from lqpencil import DimensionMismatchError, NonFiniteMatrixError, TolerancePolicy
+from lqpencil.linalg import (
     image_basis,
     kernel_basis,
+    matrix_norm,
+    orthonormal_complement,
     pseudo_inverse,
     rank_of,
     solve_affine,
+    subspace_distance,
 )
-from lqpencil.linalg import matrix_norm, orthonormal_complement, subspace_distance
 
 
 def test_policy_rejects_nonpositive_tolerances():

@@ -8,36 +8,39 @@ import pytest
 
 from lqpencil import (
     BoundarySpec,
+    DecompositionError,
     HorizonTooShortError,
     InfeasibleProblemError,
     LqProblem,
     PopovTriple,
+    RiccatiDivergenceError,
+    RiccatiNoConvergenceError,
     TolerancePolicy,
-    assemble_boundary,
     certify,
-    control_free_param,
-    controllability_index,
-    endpoint_gramian,
     flatten,
-    free_control_for_chi,
     iterate_grde,
-    reachability_decomposition,
-    reconstruct_trajectories,
     solve_flat,
     solve_problem,
-    solve_with_decomposition,
-    split_inputs,
     verify_stationarity,
 )
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution
 from lqpencil.linalg import solve_affine
-from lqpencil.lqsolve import _steering_stacks, _sweep
-from lqpencil.pencil import DecompositionError, PencilDecomposition
-from lqpencil.riccati import (
-    InputSplit,
-    RiccatiDivergenceError,
-    RiccatiNoConvergenceError,
+from lqpencil.lqsolve import (
+    _steering_stacks,
+    _sweep,
+    assemble_boundary,
+    control_free_param,
+    endpoint_gramian,
+    free_control_for_chi,
+    reconstruct_trajectories,
+    solve_with_decomposition,
 )
+from lqpencil.pencil import (
+    PencilDecomposition,
+    _controllability_index,
+    reachability_decomposition,
+)
+from lqpencil.riccati import InputSplit, split_inputs
 
 from conftest import attach_random_boundary, random_singular_triple
 
@@ -49,7 +52,7 @@ def dec_without_free_part(a22, b12, rx0):
         cert=None, split=InputSplit(np.eye(1), np.zeros((1, 0)),
                                     np.array([[rx0]]), np.array([[b12]]),
                                     np.zeros((1, 0))),
-        U_X=None, V_X=None, U=np.eye(1), r=0,
+        U_X=None, V_X=None, U=np.eye(1), r=0, index=0,
         A_X11=np.zeros((0, 0)), A_X12=np.zeros((0, 1)),
         A_X22=np.array([[a22]]), B11=np.zeros((0, 1)),
         B12=np.array([[b12]]), B21=np.zeros((0, 0)), pencil=None)
@@ -62,7 +65,7 @@ def dec_free_only(a11, b21):
         cert=None, split=InputSplit(np.zeros((1, 0)), np.eye(1),
                                     np.zeros((0, 0)), np.zeros((1, 0)),
                                     np.array([[b21]])),
-        U_X=None, V_X=None, U=np.eye(1), r=1,
+        U_X=None, V_X=None, U=np.eye(1), r=1, index=1,
         A_X11=np.array([[a11]]), A_X12=np.zeros((1, 0)),
         A_X22=np.zeros((0, 0)), B11=np.zeros((1, 0)),
         B12=np.zeros((0, 0)), B21=np.array([[b21]]), pencil=None)
@@ -77,18 +80,20 @@ def random_dec(rng, r, nr, m1, m2=1):
         cert=None, split=InputSplit(np.zeros((m, m1)), np.zeros((m, m2)),
                                     G @ G.T + np.eye(m1),
                                     np.zeros((n, m1)), np.zeros((n, m2))),
-        U_X=None, V_X=None, U=np.eye(n), r=r,
+        U_X=None, V_X=None, U=np.eye(n), r=r, index=r,
         A_X11=rng.normal(size=(r, r)), A_X12=rng.normal(size=(r, nr)),
         A_X22=rng.normal(size=(nr, nr)) / np.sqrt(max(nr, 1)),
         B11=rng.normal(size=(r, m1)), B12=rng.normal(size=(nr, m1)),
         B21=rng.normal(size=(r, m2)), pencil=None)
 
 
-def test_controllability_index():
+def test_controllability_index(pol):
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert controllability_index(A, np.array([[0.0], [1.0]])) == 2
-    assert controllability_index(np.eye(2), np.eye(2)) == 1
-    assert controllability_index(np.zeros((0, 0)), np.zeros((0, 0))) == 0
+    assert _controllability_index(A, np.array([[0.0], [1.0]]), pol) == 2
+    assert _controllability_index(np.eye(2), np.eye(2), pol) == 1
+    assert _controllability_index(np.zeros((0, 0)), np.zeros((0, 0)), pol) == 0
+    with pytest.raises(DecompositionError, match="not reachable"):
+        _controllability_index(np.eye(2), np.array([[1.0], [0.0]]), pol)
 
 
 def test_costate_powers():
@@ -323,7 +328,7 @@ def test_free_directions_preserve_cost_and_feasibility(cyclic, sing_cert,
         shifted = base_free + 0.37 * sol.free_control[:, k]
         xs, us, _ = reconstruct_trajectories(cyclic, sing_dec, sol.chi,
                                              shifted)
-        from lqpencil import evaluate_cost
+        from lqpencil.model import evaluate_cost
         assert evaluate_cost(cyclic, xs, us) == pytest.approx(sol.cost,
                                                               abs=1e-9)
         for t in range(3):

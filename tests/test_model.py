@@ -15,15 +15,17 @@ from lqpencil import (
     LqProblem,
     PopovTriple,
     ProblemFormatError,
-    evaluate_cost,
-    factor_cost,
     load_problem,
-    problem_from_dict,
-    problem_to_dict,
     save_problem,
     validate,
 )
-from lqpencil.model import simulate
+from lqpencil.model import (
+    evaluate_cost,
+    factor_cost,
+    problem_from_dict,
+    problem_to_dict,
+    simulate,
+)
 
 
 def test_triple_dimensions(sing_triple):

@@ -6,16 +6,15 @@ import pytest
 
 from lqpencil import (
     BoundarySpec,
-    FlatQp,
     LqProblem,
     OracleSizeError,
     PopovTriple,
-    evaluate_cost,
+    UnboundedObjectiveError,
     flatten,
     solve_flat,
 )
-from lqpencil.model import simulate
-from lqpencil.oracle import MAX_FLAT_VARIABLES, UnboundedObjectiveError, projected_gradient_norm
+from lqpencil.model import evaluate_cost, simulate
+from lqpencil.oracle import MAX_FLAT_VARIABLES, FlatQp, projected_gradient_norm
 
 from conftest import attach_random_boundary, random_regular_problem
 
@@ -145,12 +144,13 @@ def test_oracle_agrees_on_random_regular_batch(pol):
     rng = np.random.default_rng(163)
     from lqpencil import (
         InfeasibleProblemError,
+        RiccatiDivergenceError,
+        RiccatiNoConvergenceError,
         iterate_grde,
-        reachability_decomposition,
-        solve_with_decomposition,
-        split_inputs,
     )
-    from lqpencil.riccati import RiccatiDivergenceError, RiccatiNoConvergenceError
+    from lqpencil.lqsolve import solve_with_decomposition
+    from lqpencil.pencil import reachability_decomposition
+    from lqpencil.riccati import split_inputs
     done = 0
     while done < 10:
         p = random_regular_problem(rng)

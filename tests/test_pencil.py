@@ -8,20 +8,26 @@ import numpy as np
 import pytest
 
 from lqpencil import (
+    DecompositionError,
     PopovTriple,
+    RiccatiDivergenceError,
+    RiccatiNoConvergenceError,
+    certify,
+    iterate_grde,
+)
+from lqpencil.linalg import rank_of
+from lqpencil.pencil import (
+    Pencil,
+    PencilDecomposition,
     build_esp,
     canonical_form,
-    certify,
     generalized_spectrum,
-    iterate_grde,
     normal_rank,
-    rank_of,
+    probe_ranks,
     reachability_decomposition,
     riccati_congruence,
-    split_inputs,
 )
-from lqpencil.pencil import DecompositionError, Pencil, PencilDecomposition, probe_ranks
-from lqpencil.riccati import InputSplit, RiccatiDivergenceError, RiccatiNoConvergenceError
+from lqpencil.riccati import InputSplit, split_inputs
 
 from conftest import random_singular_triple
 
@@ -194,7 +200,7 @@ def test_canonical_form_paper_basis_display(sing_cert):
     U_X, V_X = riccati_congruence(sing_cert)
     dec = PencilDecomposition(
         cert=sing_cert, split=split, U_X=U_X, V_X=V_X, U=np.eye(2), r=1,
-        A_X11=np.array([[1.0]]), A_X12=np.array([[0.0]]),
+        index=1, A_X11=np.array([[1.0]]), A_X12=np.array([[0.0]]),
         A_X22=np.array([[0.0]]), B11=np.array([[2.0]]),
         B12=np.array([[2.0]]), B21=np.array([[-2.0]]),
         pencil=build_esp(sing_cert.sigma))

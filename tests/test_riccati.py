@@ -9,19 +9,16 @@ import scipy.linalg
 from lqpencil import (
     DimensionMismatchError,
     NotRiccatiSolutionError,
+    NotSymmetricError,
     PopovTriple,
     RiccatiDivergenceError,
     RiccatiNoConvergenceError,
     certify,
-    check_solution_pair_invariants,
-    gdare_residual,
     iterate_grde,
-    kernel_condition_violation,
-    pseudo_inverse,
-    split_inputs,
 )
-from lqpencil.linalg import matrix_norm
-from lqpencil.riccati import NotSymmetricError
+from lqpencil.linalg import matrix_norm, pseudo_inverse
+from lqpencil.pencil import check_solution_pair_invariants
+from lqpencil.riccati import gdare_residual, kernel_condition_violation, split_inputs
 
 from conftest import random_regular_problem, random_singular_triple
 
