@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .fixtures import bundled_problem_path, singular_riccati_solution, singular_triple
-from .linalg import TolerancePolicy, matrix_norm
+from .linalg import TolerancePolicy, matrix_norm, rank_of
 from .lqsolve import (
     HorizonTooShortError,
     InfeasibleProblemError,
@@ -40,6 +40,7 @@ from .model import (
     LqProblem,
     ProblemFormatError,
     ValidationError,
+    factor_cost,
     load_problem,
     validate,
 )
@@ -193,9 +194,9 @@ def _cmd_solve(args):
         "costate": _mat(sol.costate),
         "chi": _mat(np.atleast_2d(sol.chi))[0],
         "free_boundary_dim": int(sol.free_boundary.shape[1]),
-        "free_control_dim": int(sol.free_control.shape[1]),
+        "free_control_dim": sol.steering.shape[1] - rank_of(sol.steering, pol),
         "free_boundary": _mat(sol.free_boundary),
-        "free_control": _mat(sol.free_control),
+        "steering": _mat(sol.steering),
     }
     rep = sol.residuals
     report["stationarity"] = {
@@ -244,7 +245,10 @@ def _cmd_verify_riccati(args):
     report = _report(args, pol)
     report["problem"] = {"n": sigma.n, "m": sigma.m}
     try:
+        factor_cost(sigma, pol)  # no certificate exists unless Pi >= 0
         evaluated = _evaluate(sigma, X, pol)
+    except ValidationError as exc:
+        raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc
     except ValueError as exc:
         raise _CliError(f"invalid candidate: {exc}", EXIT_BAD_INPUT) from exc
     *_, residual_matrix, violation = evaluated
@@ -257,8 +261,6 @@ def _cmd_verify_riccati(args):
         report["accepted"] = False
         report["status"] = "rejected"
         return report, EXIT_NO_RICCATI
-    except ValidationError as exc:
-        raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc
     report["accepted"] = True
     report["status"] = "ok"
     report["derived"] = {"R_X": _mat(cert.R_X), "K_X": _mat(cert.K_X),

@@ -171,10 +171,9 @@ def solve_affine(F, g, pol: TolerancePolicy = DEFAULT_POLICY):
     Returns
     -------
     particular : ndarray
-        Minimum-norm least-squares solution ``F^+ g``.
-    nullspace : ndarray
-        Orthonormal basis of ``ker F`` (deterministic signs); the full
-        solution set, when feasible, is ``particular + nullspace @ w``.
+        Minimum-norm least-squares solution ``F^+ g``; when feasible,
+        the full solution set is ``particular + ker F``
+        (:func:`kernel_basis` gives a basis).
     feasible : bool
         True when ``||F @ particular - g|| <= residual_tol * (1 + ||g||)``.
     """
@@ -186,7 +185,7 @@ def solve_affine(F, g, pol: TolerancePolicy = DEFAULT_POLICY):
     particular = pseudo_inverse(A, pol) @ b
     residual = np.linalg.norm(A @ particular - b) if A.shape[0] else 0.0
     feasible = bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(b)))
-    return particular, kernel_basis(A, pol), feasible
+    return particular, feasible
 
 
 def matrix_norm(M) -> float:

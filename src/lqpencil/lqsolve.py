@@ -27,8 +27,8 @@ and P is summed by doubling too.  The reachable block x1 is steered by
 the free inputs through the reachability matrix of (A_X11, B21); its
 endpoints are decision variables.  Boundary and transversality conditions close
 the system: a square linear system in chi whose solution set, combined
-with the null space of the reachability matrix, parameterizes *all*
-optimal trajectories.
+with the kernel of the steering rows (the reachability matrix),
+parameterizes *all* optimal trajectories.
 
 Original coordinates are recovered by x = U [x1; x2],
 lambda = X x - U [0; lhat2], u = T1 u1 + T2 u2 - K_X x.
@@ -74,12 +74,14 @@ def _scan(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     Runs as log2(len(z)) doubling steps over the whole horizon: after
     the step with shift k, x(t) = sum of A^(t-i) z(i) over the last 2k
     indices i <= t.  ``z`` may also hold matrices (t, d, e), which are
-    then propagated as x(t) = x(t-1) A'.
+    then propagated as x(t) = x(t-1) A', all rows in one 2-D product.
     """
     x = np.array(z, dtype=float)
+    if not x.size:
+        return x
     Ak, k = A, 1
     while k < len(x):
-        x[k:] += x[:-k] @ Ak.T
+        x[k:] += (x[:-k].reshape(-1, len(A)) @ Ak.T).reshape(x[:-k].shape)
         k *= 2
         if k < len(x):
             Ak = Ak @ Ak
@@ -98,10 +100,7 @@ def _sweep(dec: PencilDecomposition, horizon: int, x2_0, l2T):
     terminal = np.zeros((horizon + 1, A22.shape[0]))
     terminal[0] = l2T
     lhat2 = _scan(A22.T, terminal)[::-1]
-    if dec.m1:
-        u1 = np.linalg.solve(dec.split.R_X0, dec.B12.T @ lhat2[1:].T).T
-    else:
-        u1 = np.zeros((horizon, 0))
+    u1 = np.linalg.solve(dec.split.R_X0, dec.B12.T @ lhat2[1:].T).T
     x2 = _scan(A22, np.vstack([x2_0, u1 @ dec.B12.T]))
     xi = x2[:-1] @ dec.A_X12.T + u1 @ dec.B11.T
     return lhat2, u1, x2, xi
@@ -194,9 +193,10 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     u_stack : ndarray, shape (T * m2,)
         Time-reversed stack [u2(T-1); ...; u2(0)], the minimum-norm
         particular choice.
-    nullspace : ndarray
-        Orthonormal basis of ker R1; adding any combination leaves the
-        whole optimal trajectory's cost unchanged.
+    steering : ndarray, shape (r, T * m2)
+        The steering rows R1 of :func:`_steering_stacks`; adding any
+        element of ker R1 leaves the whole optimal trajectory's cost
+        unchanged.
     reachable : bool
         Whether the required endpoint displacement lies in im R1, by
         the feasibility rule of :func:`solve_affine`.
@@ -207,29 +207,19 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     xi = np.asarray(xi_seq, dtype=float).reshape(horizon, dec.r)
     target = x1_T - np.linalg.matrix_power(dec.A_X11, horizon) @ x1_0 \
         - R2 @ xi[::-1].reshape(-1)
-    return solve_affine(R1, target, pol)
+    u_stack, reachable = solve_affine(R1, target, pol)
+    return u_stack, R1, reachable
 
 
-@dataclass(frozen=True)
-class BoundarySystem:
-    """Square linear system F chi = g in chi = (x1(0), x1(T), x2(0), l2T).
+def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
+                      pol: TolerancePolicy = DEFAULT_POLICY):
+    """Build the 2n x 2n boundary/transversality system F chi = g in
+    chi = (x1(0), x1(T), x2(0), l2T); returns (F, g).
 
     The first q rows impose the affine endpoint constraint; the
     remaining 2n - q rows impose transversality of the endpoint
     penalty, projected onto the orthogonal complement of the constraint
     rows (which is where the multiplier cannot absorb it).
-    """
-
-    F: np.ndarray
-    g: np.ndarray
-    r: int
-    n: int
-    horizon: int
-
-
-def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
-                      pol: TolerancePolicy = DEFAULT_POLICY) -> BoundarySystem:
-    """Build the 2n x 2n boundary/transversality system.
 
     Endpoint states, in decomposition coordinates, are affine in chi:
     x2(T) = A_X22^T x2(0) + P l2T with P the endpoint gramian, while
@@ -282,7 +272,7 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
 
     F = np.vstack([Vt @ E_x, K_V.T @ (Ht @ E_x + J @ Lam)])
     g = np.concatenate([bd.v, K_V.T @ Ht @ ht])
-    return BoundarySystem(F=F, g=g, r=r, n=n, horizon=T_h)
+    return F, g
 
 
 @dataclass(frozen=True)
@@ -308,9 +298,10 @@ class LqSolution:
     """An optimal trajectory plus the complete optimal-set description.
 
     ``free_boundary`` spans the directions in chi space along which the
-    boundary system stays satisfied; ``free_control`` spans the
-    cost-neutral stacked free inputs.  ``costate`` holds the Lagrange
-    multipliers of the dynamics.
+    boundary system stays satisfied; at fixed chi, the cost-neutral
+    changes of the stacked free inputs are the kernel of the
+    ``steering`` rows R1 (see :func:`control_free_param`).  ``costate``
+    holds the Lagrange multipliers of the dynamics.
     """
 
     x: np.ndarray
@@ -319,7 +310,7 @@ class LqSolution:
     cost: float
     chi: np.ndarray
     free_boundary: np.ndarray
-    free_control: np.ndarray
+    steering: np.ndarray
     residuals: StationarityReport
     r: int
     m1: int
@@ -329,7 +320,7 @@ class LqSolution:
 def free_control_for_chi(problem: LqProblem, dec: PencilDecomposition, chi,
                          pol: TolerancePolicy = DEFAULT_POLICY):
     """Minimum-norm stacked free inputs consistent with a boundary
-    parameter chi; returns (u_stack, nullspace, reachable) as in
+    parameter chi; returns (u_stack, steering, reachable) as in
     :func:`control_free_param`."""
     x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
     *_, xi = _sweep(dec, problem.horizon, x2_0, l2T)
@@ -345,18 +336,21 @@ def reconstruct_trajectories(problem: LqProblem, dec: PencilDecomposition,
     :func:`control_free_param`.  Returns arrays of shapes (T+1, n),
     (T, m), (T+1, n).
     """
-    T_h = problem.horizon
-    cert, split, r = dec.cert, dec.split, dec.r
     x1_0, _, x2_0, l2T = _split_chi(dec, chi)
-    lhat2, u1, x2, xi = _sweep(dec, T_h, x2_0, l2T)
     u_free_stack = _as_vector(u_free_stack, "u_free_stack") if dec.m2 else np.zeros(0)
-    u2 = u_free_stack.reshape(T_h, dec.m2)[::-1]
+    return _trajectories(dec, x1_0, _sweep(dec, problem.horizon, x2_0, l2T),
+                         u_free_stack)
 
+
+def _trajectories(dec: PencilDecomposition, x1_0, swept, u_free_stack):
+    """(x, u, costate) from x1(0), the output of :func:`_sweep` and the
+    stacked free inputs."""
+    lhat2, u1, x2, xi = swept
+    u2 = u_free_stack.reshape(len(u1), dec.m2)[::-1]
     x1 = _scan(dec.A_X11, np.vstack([x1_0, u2 @ dec.B21.T + xi]))
-
     xs = np.hstack([x1, x2]) @ dec.U.T
-    lams = xs @ cert.X.T - lhat2 @ dec.U[:, r:].T
-    us = u1 @ split.T1.T + u2 @ split.T2.T - xs[:-1] @ cert.K_X.T
+    lams = xs @ dec.cert.X.T - lhat2 @ dec.U[:, dec.r:].T
+    us = u1 @ dec.split.T1.T + u2 @ dec.split.T2.T - xs[:-1] @ dec.cert.K_X.T
     return xs, us, lams
 
 
@@ -432,18 +426,20 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
         raise HorizonTooShortError(
             f"horizon {T_h} is below the controllability index {dec.index}")
 
-    bs = assemble_boundary(problem, dec, pol)
-    chi, free_boundary, feasible = solve_affine(bs.F, bs.g, pol)
+    F, g = assemble_boundary(problem, dec, pol)
+    chi, feasible = solve_affine(F, g, pol)
     if not feasible:
         raise InfeasibleProblemError("boundary/transversality system is infeasible")
 
-    x1_T = chi[r:2 * r]
-    u_free, free_control, reachable = free_control_for_chi(problem, dec, chi, pol)
+    x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
+    swept = _sweep(dec, T_h, x2_0, l2T)
+    u_free, steering, reachable = control_free_param(dec, T_h, x1_0, x1_T,
+                                                     swept[3], pol)
     if not reachable:
         raise HorizonTooShortError(
             "required endpoint displacement is outside the horizon's reach")
 
-    xs, us, lams = reconstruct_trajectories(problem, dec, chi, u_free, pol)
+    xs, us, lams = _trajectories(dec, x1_0, swept, u_free)
     if r and np.linalg.norm(dec.U[:, :r].T @ xs[T_h] - x1_T) > \
             pol.residual_tol * (1.0 + np.linalg.norm(x1_T)) * 100:
         raise DecompositionError("reconstructed x1(T) misses its target")
@@ -451,5 +447,5 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
     report = _stationarity(problem, xs, us, lams, pol)
     return LqSolution(
         x=xs, u=us, costate=lams, cost=evaluate_cost(problem, xs, us),
-        chi=chi, free_boundary=free_boundary, free_control=free_control,
+        chi=chi, free_boundary=kernel_basis(F, pol), steering=steering,
         residuals=report, r=r, m1=dec.m1, m2=dec.m2)

@@ -21,6 +21,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    kernel_basis,
     solve_affine,
 )
 from .model import LqProblem
@@ -118,9 +119,10 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
     feasible : bool
         Whether Aeq z = beq is solvable under the policy tolerance.
     """
-    z_f, Z, feasible = solve_affine(qp.Aeq, qp.beq, pol)
+    z_f, feasible = solve_affine(qp.Aeq, qp.beq, pol)
     if not feasible:
         return z_f, qp.cost(z_f), False
+    Z = kernel_basis(qp.Aeq, pol)
     Gw = Z.T @ qp.G @ Z
     Gw = 0.5 * (Gw + Gw.T)
     bw = Z.T @ (qp.b - qp.G @ z_f)
@@ -140,6 +142,6 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
 def projected_gradient_norm(qp: FlatQp, z, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Norm of the objective gradient projected onto ker Aeq at z;
     zero at any constrained minimizer."""
-    _, Z, _ = solve_affine(qp.Aeq, qp.beq, pol)
+    Z = kernel_basis(qp.Aeq, pol)
     grad = 2.0 * (qp.G @ np.asarray(z, dtype=float) - qp.b)
     return float(np.linalg.norm(Z.T @ grad))

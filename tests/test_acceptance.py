@@ -43,7 +43,7 @@ from lqpencil.fixtures import (
     singular_riccati_solution,
     singular_triple,
 )
-from lqpencil.linalg import solve_affine
+from lqpencil.linalg import kernel_basis
 from lqpencil.lqsolve import (
     endpoint_gramian,
     free_control_for_chi,
@@ -540,9 +540,10 @@ def _struct_z_span(problem, dec, sol):
     xs0, us0, _ = reconstruct_trajectories(problem, dec, sol.chi, base_u)
     z0 = np.concatenate([xs0[0], us0.reshape(-1)])
     cols = []
-    for k in range(sol.free_control.shape[1]):
+    free_control = kernel_basis(sol.steering)
+    for k in range(free_control.shape[1]):
         xs, us, _ = reconstruct_trajectories(
-            problem, dec, sol.chi, base_u + sol.free_control[:, k])
+            problem, dec, sol.chi, base_u + free_control[:, k])
         cols.append(np.concatenate([xs[0], us.reshape(-1)]) - z0)
     for k in range(sol.free_boundary.shape[1]):
         chi2 = sol.chi + sol.free_boundary[:, k]
@@ -579,7 +580,7 @@ def test_criterion7_stationarity_and_perturbations():
         n = problem.triple.n
         z_star = np.concatenate([sol.x[0], sol.u.reshape(-1)])
         base_cost = qp.cost(z_star)
-        _, Z, _ = solve_affine(qp.Aeq, qp.beq)
+        Z = kernel_basis(qp.Aeq)
         g_max = float(np.abs(qp.G).max()) if qp.G.size else 0.0
         tol_dj = 1e-8 * (1 + abs(base_cost) + g_max)
         span = None

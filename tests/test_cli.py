@@ -23,7 +23,7 @@ from lqpencil.cli import (
     EXIT_OK,
     main,
 )
-from lqpencil.fixtures import bundled_problem_path
+from lqpencil.fixtures import bundled_problem_path, cyclic_problem
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,18 @@ def test_solve_bundled_problem(problem_path, capsys):
     assert doc["decomposition"] == {"r": 1, "m1": 1, "m2": 1}
     assert doc["solution"]["free_boundary_dim"] == 0
     assert doc["solution"]["free_control_dim"] == 2
+
+
+def test_solve_long_horizon_reports_steering_rows(tmp_path, capsys):
+    T = 10_000
+    path = tmp_path / "cyclic.json"
+    save_problem(cyclic_problem((1.0, 2.0), T), path)
+    code, out = run_cli(["solve", "--problem", str(path)], capsys)
+    assert code == EXIT_OK
+    solution = last_json(out)["solution"]
+    assert solution["free_control_dim"] == T - 1
+    assert np.shape(solution["steering"]) == (1, T)
+    assert "free_control" not in solution
 
 
 def test_solve_with_riccati_file(problem_path, tmp_path, capsys):
@@ -137,18 +149,20 @@ def test_verify_riccati_evaluates_candidate_once(problem_path, tmp_path,
 
 def test_verify_riccati_indefinite_cost_is_bad_input(tmp_path, capsys):
     # Pi = diag(-1, 1): X = -1 solves the Riccati equation exactly, but
-    # the certificate needs a factor [C D] of Pi, which does not exist
+    # the certificate needs a factor [C D] of Pi, which does not exist;
+    # X = 0 fails the equation, and is bad input all the same
     triple = PopovTriple([[0.0]], [[0.0]], [[-1.0]], [[0.0]], [[1.0]])
     path = tmp_path / "indefinite.json"
     save_problem(LqProblem(triple, 2, BoundarySpec.unconstrained(1)), path)
     xfile = tmp_path / "X.json"
-    xfile.write_text(json.dumps({"X": [[-1.0]]}))
-    code, out = run_cli(["verify-riccati", "--problem", str(path),
-                         "--riccati", str(xfile)], capsys)
-    assert code == EXIT_BAD_INPUT
-    doc = last_json(out)
-    assert doc["status"] == "bad-input"
-    assert "not positive semidefinite" in doc["error"]
+    for X in ([[-1.0]], [[0.0]]):
+        xfile.write_text(json.dumps({"X": X}))
+        code, out = run_cli(["verify-riccati", "--problem", str(path),
+                             "--riccati", str(xfile)], capsys)
+        assert code == EXIT_BAD_INPUT
+        doc = last_json(out)
+        assert doc["status"] == "bad-input"
+        assert "not positive semidefinite" in doc["error"]
 
 
 def test_oracle_subcommand(problem_path, capsys):

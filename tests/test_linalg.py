@@ -141,18 +141,19 @@ def test_solve_affine_square_invertible():
                   [1.0, 0.0, 1.0, 0.0],
                   [0.0, 1.0, 0.0, 0.0]])
     g = np.array([0.0, 0.0, 1.0, 2.0])
-    x, ns, feasible = solve_affine(F, g)
+    x, feasible = solve_affine(F, g)
     assert feasible
-    assert ns.shape == (4, 0)
+    assert kernel_basis(F).shape == (4, 0)
     np.testing.assert_allclose(x, [0.5, 2.0, 0.5, 2.0], atol=1e-12)
 
 
 def test_solve_affine_underdetermined_min_norm():
     F = np.array([[1.0, 1.0]])
     g = np.array([2.0])
-    x, ns, feasible = solve_affine(F, g)
+    x, feasible = solve_affine(F, g)
     assert feasible
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
+    ns = kernel_basis(F)
     assert ns.shape == (2, 1)
     np.testing.assert_allclose(F @ ns, 0.0, atol=1e-14)
 
@@ -160,15 +161,16 @@ def test_solve_affine_underdetermined_min_norm():
 def test_solve_affine_infeasible():
     F = np.array([[1.0, 0.0], [1.0, 0.0]])
     g = np.array([0.0, 1.0])
-    _, _, feasible = solve_affine(F, g)
+    _, feasible = solve_affine(F, g)
     assert not feasible
 
 
 def test_solve_affine_empty_system_is_feasible():
-    x, ns, feasible = solve_affine(np.zeros((0, 3)), np.zeros(0))
+    F = np.zeros((0, 3))
+    x, feasible = solve_affine(F, np.zeros(0))
     assert feasible
     np.testing.assert_allclose(x, np.zeros(3))
-    assert ns.shape == (3, 3)
+    assert kernel_basis(F).shape == (3, 3)
 
 
 def test_solve_affine_consistency_random():
@@ -179,11 +181,11 @@ def test_solve_affine_consistency_random():
         F = rng.normal(size=(rows, cols))
         z = rng.normal(size=cols)
         g = F @ z
-        x, ns, feasible = solve_affine(F, g)
+        x, feasible = solve_affine(F, g)
         assert feasible
         np.testing.assert_allclose(F @ x, g, atol=1e-10)
         # particular solution is orthogonal to the kernel (min-norm)
-        np.testing.assert_allclose(ns.T @ x, 0.0, atol=1e-10)
+        np.testing.assert_allclose(kernel_basis(F).T @ x, 0.0, atol=1e-10)
 
 
 def test_matrix_norm():

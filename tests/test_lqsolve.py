@@ -2,6 +2,7 @@
 solver, and stationarity verification."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from lqpencil import (
     verify_stationarity,
 )
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution
-from lqpencil.linalg import solve_affine
+from lqpencil.linalg import kernel_basis, rank_of, solve_affine
 from lqpencil.lqsolve import (
     _steering_stacks,
     _sweep,
@@ -212,19 +213,32 @@ def test_trajectory_param_stacks(sing_dec):
 def test_free_control_steering_order():
     # x1(2) = 4 x1(0) + [b, a b] [u2(1); u2(0)] with a = 2, b = 1
     dec = dec_free_only(2.0, 1.0)
-    u, ns, reachable = control_free_param(dec, 2, [0.0], [5.0],
+    u, R1, reachable = control_free_param(dec, 2, [0.0], [5.0],
                                           np.zeros((2, 1)))
     assert reachable
     np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-12)
-    assert ns.shape == (2, 1)
+    np.testing.assert_allclose(R1, [[1.0, 2.0]], atol=1e-14)
+    assert kernel_basis(R1).shape == (2, 1)
+
+
+def test_free_control_with_drift():
+    # x1(2) = 4 x1(0) + [1, 2] [u2(1); u2(0)] + [1, 2] [xi(1); xi(0)]:
+    # with x1(0) = 0.5 and xi = (1, 0) the inputs must add 5 - 2 - 2 = 1,
+    # at minimum norm along [1, 2]
+    dec = dec_free_only(2.0, 1.0)
+    u, R1, reachable = control_free_param(dec, 2, [0.5], [5.0],
+                                          np.array([[1.0], [0.0]]))
+    assert reachable
+    np.testing.assert_allclose(u, [0.2, 0.4], atol=1e-12)
+    np.testing.assert_allclose(R1, [[1.0, 2.0]], atol=1e-14)
 
 
 def test_free_control_minimum_norm_is_constant(sing_dec):
-    u, ns, reachable = control_free_param(sing_dec, 4, [0.0], [1.0],
+    u, R1, reachable = control_free_param(sing_dec, 4, [0.0], [1.0],
                                           np.zeros((4, 1)))
     assert reachable
     np.testing.assert_allclose(u, u[0] * np.ones(4), atol=1e-12)
-    assert ns.shape == (4, 3)
+    assert kernel_basis(R1).shape == (4, 3)
 
 
 def test_free_control_unreachable_target():
@@ -235,12 +249,12 @@ def test_free_control_unreachable_target():
 
 
 def test_assemble_boundary_cyclic(cyclic, sing_dec):
-    bs = assemble_boundary(cyclic, sing_dec)
-    assert bs.F.shape == (4, 4)
-    assert bs.g.shape == (4,)
-    chi, ns, feasible = solve_affine(bs.F, bs.g)
+    F, g = assemble_boundary(cyclic, sing_dec)
+    assert F.shape == (4, 4)
+    assert g.shape == (4,)
+    chi, feasible = solve_affine(F, g)
     assert feasible
-    assert ns.shape == (4, 0)
+    assert kernel_basis(F).shape == (4, 0)
     h1, h2 = 1.0, 2.0
     np.testing.assert_allclose(
         chi, [h1, h1, 2 * h2 / 3, 2 * h2 / 3], atol=1e-10)
@@ -253,21 +267,22 @@ def test_assemble_boundary_row_counts(sing_triple, sing_dec):
         np.vstack([np.zeros((2, 2)), np.eye(2)]),
         np.array([1.0, 0.0, 0.0, 0.0]), np.zeros((4, 4)),
         np.zeros(2), np.zeros(2)))
-    bs = assemble_boundary(pinned, sing_dec)
-    assert bs.F.shape == (4, 4)
+    F, _ = assemble_boundary(pinned, sing_dec)
+    assert F.shape == (4, 4)
 
     free = LqProblem(sing_triple, 3, BoundarySpec.unconstrained(2))
-    bs_free = assemble_boundary(free, sing_dec)
-    assert bs_free.F.shape == (4, 4)
+    F_free, g_free = assemble_boundary(free, sing_dec)
+    assert F_free.shape == (4, 4)
     # no penalty, no constraint: every boundary direction is free
-    _, ns, feasible = solve_affine(bs_free.F, bs_free.g)
+    _, feasible = solve_affine(F_free, g_free)
     assert feasible
 
 
 def test_cyclic_solution_closed_form(sing_cert):
     T2 = split_inputs(sing_cert).T2
     for (h1, h2), T in (((1.0, 2.0), 3), ((-3.0, 0.5), 2), ((0.0, 1.0), 6),
-                        ((1.0, 2.0), 400), ((-3.0, 0.5), 800)):
+                        ((1.0, 2.0), 400), ((-3.0, 0.5), 800),
+                        ((1.0, 2.0), 10_000)):
         p = cyclic_problem((h1, h2), T)
         sol = solve_problem(p, sing_cert)
         assert sol.cost == pytest.approx(2 * h2 ** 2 / 3, abs=1e-9)
@@ -279,13 +294,27 @@ def test_cyclic_solution_closed_form(sing_cert):
         assert sol.residuals.passed
         assert (sol.r, sol.m1, sol.m2) == (1, 1, 1)
         assert sol.free_boundary.shape == (4, 0)
-        assert sol.free_control.shape == (T, T - 1)
+        assert sol.steering.shape == (1, T)
+        assert rank_of(sol.steering) == 1
         # minimum-norm free input: constant, coefficient |h2|/(3T)
         ubar2 = (sol.u + sol.x[:-1] @ sing_cert.K_X.T) @ T2
         np.testing.assert_allclose(ubar2, ubar2[0] * np.ones_like(ubar2),
                                    atol=1e-10)
         assert np.linalg.norm(T2 @ ubar2[0]) / np.sqrt(2.0) == \
             pytest.approx(abs(h2) / (3 * T), abs=1e-9)
+
+
+def test_cyclic_solve_memory_is_linear_in_horizon(sing_cert):
+    # 10^4 free inputs: a dense basis of the cost-neutral ones would
+    # take 800 MB, the one steering row takes 80 kB
+    p = cyclic_problem((1.0, 2.0), 10_000)
+    tracemalloc.start()
+    try:
+        solve_problem(p, sing_cert)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_cyclic_free_component_pattern(cyclic, sing_cert, sing_dec):
@@ -302,9 +331,9 @@ def test_cyclic_free_component_pattern(cyclic, sing_cert, sing_dec):
 
 def test_solution_reconstruction_consistency(cyclic, sing_cert, sing_dec):
     sol = solve_problem(cyclic, sing_cert)
-    u_free, ns, reachable = free_control_for_chi(cyclic, sing_dec, sol.chi)
+    u_free, R1, reachable = free_control_for_chi(cyclic, sing_dec, sol.chi)
     assert reachable
-    np.testing.assert_allclose(ns, sol.free_control, atol=1e-12)
+    np.testing.assert_allclose(R1, sol.steering, atol=1e-12)
     xs, us, lams = reconstruct_trajectories(cyclic, sing_dec, sol.chi, u_free)
     np.testing.assert_allclose(xs, sol.x, atol=1e-12)
     np.testing.assert_allclose(us, sol.u, atol=1e-12)
@@ -324,8 +353,9 @@ def test_free_directions_preserve_cost_and_feasibility(cyclic, sing_cert,
     sol = solve_problem(cyclic, sing_cert)
     base_free, _, _ = free_control_for_chi(cyclic, sing_dec, sol.chi)
     A, B = cyclic.triple.A, cyclic.triple.B
-    for k in range(sol.free_control.shape[1]):
-        shifted = base_free + 0.37 * sol.free_control[:, k]
+    free_control = kernel_basis(sol.steering)
+    for k in range(free_control.shape[1]):
+        shifted = base_free + 0.37 * free_control[:, k]
         xs, us, _ = reconstruct_trajectories(cyclic, sing_dec, sol.chi,
                                              shifted)
         from lqpencil.model import evaluate_cost

@@ -117,8 +117,9 @@ def test_oracle_minimizer_beats_random_feasible_points(cyclic):
     assert feasible
     assert cost == pytest.approx(8.0 / 3.0, abs=1e-9)
     assert projected_gradient_norm(qp, z_opt) <= 1e-9
-    from lqpencil.linalg import solve_affine
-    z_f, Z, _ = solve_affine(qp.Aeq, qp.beq)
+    from lqpencil.linalg import kernel_basis, solve_affine
+    z_f, _ = solve_affine(qp.Aeq, qp.beq)
+    Z = kernel_basis(qp.Aeq)
     for _ in range(100):
         z = z_f + Z @ rng.normal(size=Z.shape[1])
         assert qp.cost(z) >= cost - 1e-9
@@ -127,8 +128,8 @@ def test_oracle_minimizer_beats_random_feasible_points(cyclic):
 def test_projected_gradient_positive_off_optimum(cyclic):
     qp = flatten(cyclic)
     z_opt, _, _ = solve_flat(qp)
-    from lqpencil.linalg import solve_affine
-    _, Z, _ = solve_affine(qp.Aeq, qp.beq)
+    from lqpencil.linalg import kernel_basis
+    Z = kernel_basis(qp.Aeq)
     z_bad = z_opt + Z @ np.ones(Z.shape[1])
     assert projected_gradient_norm(qp, z_bad) > 1e-3
 
