@@ -353,26 +353,35 @@ def run(args: argparse.Namespace) -> int:
         report, code = handler(args)
     except (_CliError, DecompositionError) as exc:
         code = exc.code if isinstance(exc, _CliError) else EXIT_DECOMPOSITION_FAILED
-        report = {"command": args.command, "status": _ERROR_STATUS[code],
-                  "error": str(exc)}
-    _emit(report, args)
-    return code
+        report = _error_report(args.command, code, exc)
+    return _emit(report, code, args.out)
 
 
-def _emit(report: dict, args) -> None:
+def _error_report(command: str, code: int, error) -> dict:
+    return {"command": command, "status": _ERROR_STATUS[code], "error": str(error)}
+
+
+def _emit(report: dict, code: int, out) -> int:
+    """Write the report to ``out`` (or stdout) and return the exit code;
+    a report that cannot be written is bad input, reported on stdout."""
     text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        status = report.get("status", "?")
-        line = f"{args.command}: {status}"
-        if "cost" in report.get("solution", {}):
-            line += f", cost {report['solution']['cost']:.12g}"
-        elif "cost" in report:
-            line += f", cost {report['cost']:.12g}"
-        print(line + f" (report: {args.out})")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return code
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _emit(_error_report(report["command"], EXIT_BAD_INPUT,
+                                   f"cannot write report: {exc}"),
+                     EXIT_BAD_INPUT, None)
+    line = f"{report['command']}: {report.get('status', '?')}"
+    if "cost" in report.get("solution", {}):
+        line += f", cost {report['solution']['cost']:.12g}"
+    elif "cost" in report:
+        line += f", cost {report['cost']:.12g}"
+    print(line + f" (report: {out})")
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -50,8 +50,8 @@ class TolerancePolicy:
 
     def __post_init__(self):
         for name in ("rank_rel_tol", "residual_tol", "eig_match_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -25,13 +25,15 @@ forward sweep for x2 give the whole horizon at once (:func:`_sweep`);
 each sweep runs as log2(T) vectorised doubling steps (:func:`_scan`),
 and P is summed by doubling too.  The reachable block x1 is steered by
 the free inputs through the reachability matrix of (A_X11, B21); its
-endpoints are decision variables.  Boundary and transversality conditions close
-the system: a square linear system in chi whose solution set, combined
-with the kernel of the steering rows (the reachability matrix),
-parameterizes *all* optimal trajectories.
+endpoints are decision variables.
 
 Original coordinates are recovered by x = U [x1; x2],
-lambda = X x - U [0; lhat2], u = T1 u1 + T2 u2 - K_X x.
+lambda = X x - U [0; lhat2], u = T1 u1 + T2 u2 - K_X x.  The endpoint
+values of x and lambda are therefore linear in chi, and the boundary
+and transversality conditions, written in the problem's own
+coordinates, close the system: a square linear system in chi whose
+solution set, combined with the kernel of the steering rows (the
+reachability matrix), parameterizes *all* optimal trajectories.
 """
 
 from __future__ import annotations
@@ -122,12 +124,15 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
     P - A22 P A22' = W - A22^T W A22'^T with W = B12 R_X0^{-1} B12',
     which is checked in O(n^3) whatever the spectrum of A22.
     """
+    return _endpoint_gramian(dec, horizon, pol)[0]
+
+
+def _endpoint_gramian(dec: PencilDecomposition, horizon: int,
+                      pol: TolerancePolicy):
+    """(P, A_X22^T): the endpoint gramian of :func:`endpoint_gramian`
+    and the power of A_X22 that its doubling forms on the way."""
     A22 = dec.A_X22
     d = A22.shape[0]
-    if d == 0:
-        return np.zeros((0, 0))
-    if dec.m1 == 0:
-        return np.zeros((d, d))
     W = dec.B12 @ np.linalg.solve(dec.split.R_X0, dec.B12.T)
     W = 0.5 * (W + W.T)
     # Over the binary digits of T: P sums the terms taken so far and
@@ -154,7 +159,7 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
         raise DecompositionError(
             f"endpoint gramian fails its Stein identity "
             f"({fro(stein):.3e} > {bound:.3e})")
-    return P
+    return P, A_done
 
 
 def _steering_stacks(dec: PencilDecomposition, horizon: int):
@@ -216,62 +221,39 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     """Build the 2n x 2n boundary/transversality system F chi = g in
     chi = (x1(0), x1(T), x2(0), l2T); returns (F, g).
 
-    The first q rows impose the affine endpoint constraint; the
-    remaining 2n - q rows impose transversality of the endpoint
-    penalty, projected onto the orthogonal complement of the constraint
-    rows (which is where the multiplier cannot absorb it).
+    The system is written in the problem's own coordinates.  With
+    U = [U1 U2], the endpoint states are linear in chi,
 
-    Endpoint states, in decomposition coordinates, are affine in chi:
-    x2(T) = A_X22^T x2(0) + P l2T with P the endpoint gramian, while
-    x1(0), x1(T) are chi entries themselves.  Original costates at the
-    endpoints are X x - U [0; lhat2] with lhat2(0) = A_X22'^T l2T and
-    lhat2(T) = l2T, so both rows of the transversality condition are
-    affine in chi as well.
+        x(0) = U1 x1(0) + U2 x2(0),
+        x(T) = U1 x1(T) + U2 (A_X22^T x2(0) + P l2T),
+
+    P the endpoint gramian, and so are the endpoint costates
+    lambda = X x - U2 lhat2, with lhat2(0) = A_X22'^T l2T and
+    lhat2(T) = l2T.  The first q rows impose the affine endpoint
+    constraint V [x(0); x(T)] = v; the remaining 2n - q rows impose
+    transversality, [-lambda(0); lambda(T)] - H e in im V' with
+    e = [x(0) - h0; x(T) - hT], projected onto ker V (where the
+    multiplier cannot absorb it).
     """
-    T_h = problem.horizon
-    cert = dec.cert
     n, r = dec.n, dec.r
-    nr = n - r
-    U = dec.U
+    U1, U2 = dec.U[:, :r], dec.U[:, r:]
+    X = dec.cert.X
     bd = problem.boundary
+    P, A22_pow = _endpoint_gramian(dec, problem.horizon, pol)
 
-    A22_pow = np.linalg.matrix_power(dec.A_X22, T_h)
-    P_g = endpoint_gramian(dec, T_h, pol)
+    # Rows map chi = (x1(0), x1(T), x2(0), l2T) to x(0), x(T) and to
+    # U2 lhat2 at both ends.
+    O1, O2 = np.zeros((n, r)), np.zeros((n, n - r))
+    x0 = np.hstack([U1, O1, U2, O2])
+    xT = np.hstack([O1, U1, U2 @ A22_pow, U2 @ P])
+    l0 = np.hstack([O1, O1, O2, U2 @ A22_pow.T])
+    lT = np.hstack([O1, O1, O2, U2])
+    ends = np.vstack([x0, xT])
+    turn = np.vstack([X @ x0 - l0, lT - X @ xT])    # [lambda(0); -lambda(T)]
 
-    # chi layout: [x1(0) | x1(T) | x2(0) | l2T]
-    c_x10, c_x1T, c_x20, c_l2T = 0, r, 2 * r, 2 * r + nr
-
-    E_x = np.zeros((2 * n, 2 * n))
-    E_x[0:r, c_x10:c_x10 + r] = np.eye(r)
-    E_x[r:n, c_x20:c_x20 + nr] = np.eye(nr)
-    E_x[n:n + r, c_x1T:c_x1T + r] = np.eye(r)
-    E_x[n + r:2 * n, c_x20:c_x20 + nr] = A22_pow
-    E_x[n + r:2 * n, c_l2T:c_l2T + nr] = P_g
-
-    E_lhat = np.zeros((2 * n, 2 * n))
-    E_lhat[r:n, c_l2T:c_l2T + nr] = A22_pow.T
-    E_lhat[n + r:2 * n, c_l2T:c_l2T + nr] = np.eye(nr)
-
-    Xt = U.T @ cert.X @ U
-    Xd = np.zeros((2 * n, 2 * n))
-    Xd[:n, :n] = Xt
-    Xd[n:, n:] = Xt
-    Lam = Xd @ E_x - E_lhat
-
-    Ud = np.zeros((2 * n, 2 * n))
-    Ud[:n, :n] = U
-    Ud[n:, n:] = U
-    Vt = bd.V @ Ud
-    Ht = Ud.T @ bd.H @ Ud
-    ht = Ud.T @ np.concatenate([bd.h0, bd.hT])
-
-    K_V = kernel_basis(Vt, pol)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = np.eye(n)
-    J[n:, n:] = -np.eye(n)
-
-    F = np.vstack([Vt @ E_x, K_V.T @ (Ht @ E_x + J @ Lam)])
-    g = np.concatenate([bd.v, K_V.T @ Ht @ ht])
+    K = kernel_basis(bd.V, pol)
+    F = np.vstack([bd.V @ ends, K.T @ (bd.H @ ends + turn)])
+    g = np.concatenate([bd.v, K.T @ bd.H @ np.concatenate([bd.h0, bd.hT])])
     return F, g
 
 

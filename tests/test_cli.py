@@ -311,3 +311,31 @@ def test_custom_tolerances_accepted(problem_path, capsys):
     doc = last_json(out)
     assert doc["tolerances"]["rank_rel_tol"] == pytest.approx(1e-9)
     assert doc["tolerances"]["residual_tol"] == pytest.approx(1e-7)
+
+
+@pytest.mark.parametrize("flag", ["--residual-tol", "--rank-tol"])
+def test_infinite_tolerance_is_bad_input(tmp_path, capsys, flag):
+    # an indefinite stage cost would pass every check under an infinite
+    # residual tolerance
+    with open(bundled_problem_path()) as fh:
+        doc = json.load(fh)
+    doc["Q"] = [[0.0, 0.0], [0.0, -1.0]]
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["solve", "--problem", str(path), flag, "inf"], capsys)
+    assert code == EXIT_BAD_INPUT
+    doc_out = last_json(out)
+    assert doc_out["status"] == "bad-input"
+    assert "positive and finite" in doc_out["error"]
+
+
+def test_unwritable_out_path_is_bad_input(problem_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out = run_cli(["solve", "--problem", problem_path,
+                         "--out", str(target)], capsys)
+    assert code == EXIT_BAD_INPUT
+    doc = last_json(out)
+    assert doc["command"] == "solve"
+    assert doc["status"] == "bad-input"
+    assert doc["error"].startswith("cannot write report: ")
+    assert not target.exists()

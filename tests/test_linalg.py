@@ -24,6 +24,9 @@ def test_policy_rejects_nonpositive_tolerances():
         TolerancePolicy(residual_tol=-1e-8)
     with pytest.raises(ValueError):
         TolerancePolicy(eig_match_tol=0.0)
+    for name in ("rank_rel_tol", "residual_tol", "eig_match_tol"):
+        with pytest.raises(ValueError):
+            TolerancePolicy(**{name: np.inf})
 
 
 def test_nonfinite_input_rejected():

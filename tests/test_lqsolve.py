@@ -381,6 +381,58 @@ def test_solution_invariant_under_split_basis_change(sing_cert):
     assert alt.cost == pytest.approx(base.cost, abs=1e-10)
 
 
+def hidden_free_channel_triple(rng):
+    """Singular triple with n = 5, m = 3, built in hidden coordinates
+    (xa, xb; ua, ub) and then rotated: the cost sees only xa (2 states)
+    and ua (1 input), and xb never feeds back into xa, so the two
+    inputs ub are cost-neutral and the reachable block is a proper
+    subspace (r = 3 here)."""
+    def orthogonal(k):
+        Q, R = np.linalg.qr(rng.normal(size=(k, k)))
+        return Q * np.sign(np.diag(R))
+
+    A = np.zeros((5, 5))
+    A[:2, :2] = 0.8 * rng.normal(size=(2, 2)) / np.sqrt(2)
+    A[2:, :2] = rng.normal(size=(3, 2))
+    A[2:, 2:] = 0.9 * orthogonal(3)
+    B = np.zeros((5, 3))
+    B[:2, :1] = rng.normal(size=(2, 1))
+    B[2:] = rng.normal(size=(3, 3))
+    F = np.zeros((2, 8))
+    F[:, :2] = rng.normal(size=(2, 2))
+    F[:, 5:6] = rng.normal(size=(2, 1))
+    Tz = np.zeros((8, 8))
+    Tz[:5, :5], Tz[5:, 5:] = orthogonal(5), orthogonal(3)
+    A, B = Tz[:5, :5] @ A @ Tz[:5, :5].T, Tz[:5, :5] @ B @ Tz[5:, 5:].T
+    pi = Tz @ F.T @ F @ Tz.T
+    return PopovTriple(A, B, pi[:5, :5], pi[:5, 5:], pi[5:, 5:])
+
+
+def test_solution_invariant_under_decomposition_basis_change():
+    rng = np.random.default_rng(0)
+    triple = hidden_free_channel_triple(rng)
+    cert = iterate_grde(triple)
+    split = split_inputs(cert)
+    dec = reachability_decomposition(cert, split)
+    r = dec.r
+    assert r >= 2 and dec.n - r >= 2
+    p = attach_random_boundary(rng, triple, dec)
+    base = solve_with_decomposition(p, dec)
+
+    Q1, _ = np.linalg.qr(rng.normal(size=(r, r)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(dec.n - r, dec.n - r)))
+    U = np.hstack([dec.U[:, :r] @ Q1, dec.U[:, r:] @ Q2])
+    At, Bt1, Bt2 = U.T @ cert.A_X @ U, U.T @ split.B1, U.T @ split.B2
+    rotated = dataclasses.replace(
+        dec, U=U, A_X11=At[:r, :r], A_X12=At[:r, r:], A_X22=At[r:, r:],
+        B11=Bt1[:r], B12=Bt1[r:], B21=Bt2[:r])
+    alt = solve_with_decomposition(p, rotated)
+    np.testing.assert_allclose(alt.x, base.x, atol=1e-9)
+    np.testing.assert_allclose(alt.u, base.u, atol=1e-9)
+    np.testing.assert_allclose(alt.costate, base.costate, atol=1e-9)
+    assert alt.cost == pytest.approx(base.cost, abs=1e-9)
+
+
 def test_fully_pinned_endpoints_match_oracle(sing_triple, sing_cert):
     # pin x(0) and a reachable x(T), no penalty
     from lqpencil.model import simulate
