@@ -13,9 +13,9 @@ selftest        Run the bundled closed-form checks.
 
 Exit codes: 0 success, 1 selftest failure, 2 infeasible problem (or a
 horizon too short to decide feasibility), 3 no Riccati solution found
-or candidate rejected, 4 bad input (including a stage cost that is not
-positive semidefinite), 5 an internal consistency check of the pencil
-decomposition failed.
+or candidate rejected, 4 bad input (including a stage cost or endpoint
+penalty that is not symmetric positive semidefinite), 5 an internal
+consistency check of the pencil decomposition failed.
 
 Reports are JSON with a fixed key order, so identical inputs and seed
 produce byte-identical output.
@@ -224,9 +224,7 @@ def _cmd_analyze_pencil(args):
             for f in spec.finite_eigenvalues
         ],
         "infinite": {"algebraic": spec.infinite_algebraic,
-                     "geometric": spec.infinite_geometric,
-                     "refined_algebraic": spec.refined_algebraic,
-                     "refined_geometric": spec.refined_geometric},
+                     "geometric": spec.infinite_geometric},
         "rank_probes": [
             {"z": _complex_pair(z), "rank": rk} for z, rk in spec.probes
         ],

@@ -116,49 +116,56 @@ def _split_chi(dec: PencilDecomposition, chi):
 
 
 def endpoint_gramian(dec: PencilDecomposition, horizon: int,
-                     pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """P = sum_{j=0}^{T-1} A_X22^j B12 R_X0^{-1} B12' A_X22'^j (PSD).
+                     pol: TolerancePolicy = DEFAULT_POLICY):
+    """(P, A_X22^T): the endpoint gramian
+
+        P = sum_{j=0}^{T-1} A_X22^j B12 R_X0^{-1} B12' A_X22'^j   (PSD)
+
+    and the power of A_X22 that its doubling forms on the way.
 
     The sum is formed by doubling, P_(a+b) = P_a + A22^a P_b A22'^a,
     in O(n^3 log T).  It satisfies the Stein identity
     P - A22 P A22' = W - A22^T W A22'^T with W = B12 R_X0^{-1} B12',
     which is checked in O(n^3) whatever the spectrum of A22.
+
+    Raises
+    ------
+    DecompositionError
+        If the Stein check is not finite (the powers of A_X22
+        overflow), or if P fails its Stein identity.
     """
-    return _endpoint_gramian(dec, horizon, pol)[0]
-
-
-def _endpoint_gramian(dec: PencilDecomposition, horizon: int,
-                      pol: TolerancePolicy):
-    """(P, A_X22^T): the endpoint gramian of :func:`endpoint_gramian`
-    and the power of A_X22 that its doubling forms on the way."""
     A22 = dec.A_X22
     d = A22.shape[0]
     W = dec.B12 @ np.linalg.solve(dec.split.R_X0, dec.B12.T)
     W = 0.5 * (W + W.T)
-    # Over the binary digits of T: P sums the terms taken so far and
-    # A_done is A22 to their number; P_k sums the first k terms and
-    # A_k = A22^k, for k = 1, 2, 4, ...
-    P, A_done = np.zeros((d, d)), np.eye(d)
-    P_k, A_k = W, A22
-    rest = horizon
-    while rest:
-        if rest & 1:
-            P = P + A_done @ P_k @ A_done.T
-            A_done = A_done @ A_k
-        rest >>= 1
-        if rest:
-            P_k = P_k + A_k @ P_k @ A_k.T
-            A_k = A_k @ A_k
-    P = 0.5 * (P + P.T)
-    term = A_done @ W @ A_done.T
-    stein = P - A22 @ P @ A22.T - (W - term)
     fro = np.linalg.norm
-    bound = pol.residual_tol * (1.0 + fro(P) * (1.0 + fro(A22) ** 2)
-                                + fro(W) + fro(term))
-    if fro(stein) > bound:
+    # An overflow is reported below, as a non-finite gramian.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Over the binary digits of T: P sums the terms taken so far and
+        # A_done is A22 to their number; P_k sums the first k terms and
+        # A_k = A22^k, for k = 1, 2, 4, ...
+        P, A_done = np.zeros((d, d)), np.eye(d)
+        P_k, A_k = W, A22
+        rest = horizon
+        while rest:
+            if rest & 1:
+                P = P + A_done @ P_k @ A_done.T
+                A_done = A_done @ A_k
+            rest >>= 1
+            if rest:
+                P_k = P_k + A_k @ P_k @ A_k.T
+                A_k = A_k @ A_k
+        P = 0.5 * (P + P.T)
+        term = A_done @ W @ A_done.T
+        stein = fro(P - A22 @ P @ A22.T - (W - term))
+        bound = pol.residual_tol * (1.0 + fro(P) * (1.0 + fro(A22) ** 2)
+                                    + fro(W) + fro(term))
+    if not np.isfinite([stein, bound]).all():
+        raise DecompositionError("endpoint gramian is not finite")
+    if stein > bound:
         raise DecompositionError(
             f"endpoint gramian fails its Stein identity "
-            f"({fro(stein):.3e} > {bound:.3e})")
+            f"({stein:.3e} > {bound:.3e})")
     return P, A_done
 
 
@@ -239,7 +246,7 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     U1, U2 = dec.U[:, :r], dec.U[:, r:]
     X = dec.cert.X
     bd = problem.boundary
-    P, A22_pow = _endpoint_gramian(dec, problem.horizon, pol)
+    P, A22_pow = endpoint_gramian(dec, problem.horizon, pol)
 
     # Rows map chi = (x1(0), x1(T), x2(0), l2T) to x(0), x(T) and to
     # U2 lhat2 at both ends.

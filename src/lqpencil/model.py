@@ -7,10 +7,10 @@ A problem instance is
     subject to x(t+1) = A x(t) + B u(t),
                V0 x(0) + VT x(T) = v,
 
-with Pi = [[Q, S], [S', R]] positive semidefinite, H positive
-semidefinite, and [V0 VT] of full row rank q (q = 0 means no linear
-boundary constraint).  Neither R nor Pi is assumed positive definite
-anywhere in this package; the singular case is the point.
+with Pi = [[Q, S], [S', R]] and H symmetric positive semidefinite, and
+[V0 VT] of full row rank q (q = 0 means no linear boundary
+constraint).  Neither R nor Pi is assumed positive definite anywhere
+in this package; the singular case is the point.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .linalg import (
     _as_matrix,
     _as_vector,
     _fix_signs,
-    matrix_norm,
     rank_of,
 )
 
@@ -38,11 +37,13 @@ class ValidationError(ValueError):
 
 
 class IndefiniteCostError(ValidationError):
-    """The stage-cost matrix Pi has a negative eigenvalue."""
+    """The stage-cost matrix Pi is not symmetric or has a negative
+    eigenvalue."""
 
 
 class IndefinitePenaltyError(ValidationError):
-    """The endpoint-penalty matrix H has a negative eigenvalue."""
+    """The endpoint-penalty matrix H is not symmetric or has a negative
+    eigenvalue."""
 
 
 class ConstraintRankError(ValidationError):
@@ -182,33 +183,42 @@ class LqProblem:
                 "boundary data dimension does not match state dimension")
 
 
-def _min_eig(M) -> float:
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+def _symmetric_psd(M, name, error, pol):
+    """Check that M is symmetric positive semidefinite, by one rule.
+
+    With (w, W) the eigendecomposition of 0.5 (M + M') and
+    s = max |w|, M is rejected when ||M - M'||_F or -min w exceeds
+    ``residual_tol * (1 + s)``, by raising ``error`` naming M.
+    Returns (w, W, s), eigenvalues ascending.
+    """
+    w, W = np.linalg.eigh(0.5 * (M + M.T))
+    scale = np.abs(w).max(initial=0.0)
+    bound = pol.residual_tol * (1.0 + scale)
+    if np.linalg.norm(M - M.T) > bound:
+        raise error(f"{name} is not symmetric")
+    if w.size and w[0] < -bound:
+        raise error(f"{name} is not positive semidefinite")
+    return w, W, scale
 
 
 def validate(problem: LqProblem, pol: TolerancePolicy = DEFAULT_POLICY) -> LqProblem:
     """Certify a problem instance numerically.
 
-    Checks that Pi and H are positive semidefinite up to
-    ``residual_tol * (1 + norm)`` and that [V0 VT] has full row rank
-    under the policy's rank cutoff.  Returns the problem unchanged on
-    success.
+    Checks that Pi and H are symmetric positive semidefinite by the
+    rule of :func:`factor_cost`: the asymmetry ||M - M'||_F and the
+    most negative eigenvalue of 0.5 (M + M') may not exceed
+    ``residual_tol * (1 + s)``, s the largest eigenvalue modulus.
+    Checks that [V0 VT] has full row rank under the policy's rank
+    cutoff.  Returns the problem unchanged on success.
 
     Raises
     ------
     IndefiniteCostError, IndefinitePenaltyError, ConstraintRankError
     """
-    pi = problem.triple.pi
-    if _min_eig(pi) < -pol.residual_tol * (1.0 + matrix_norm(pi)):
-        raise IndefiniteCostError("stage cost Pi is not positive semidefinite")
-    H = problem.boundary.H
-    if _min_eig(H) < -pol.residual_tol * (1.0 + matrix_norm(H)):
-        raise IndefinitePenaltyError(
-            "endpoint penalty H is not positive semidefinite")
-    V = problem.boundary.V
-    if rank_of(V, pol) < problem.boundary.q:
+    _symmetric_psd(problem.triple.pi, "stage cost Pi", IndefiniteCostError, pol)
+    _symmetric_psd(problem.boundary.H, "endpoint penalty H",
+                   IndefinitePenaltyError, pol)
+    if rank_of(problem.boundary.V, pol) < problem.boundary.q:
         raise ConstraintRankError("[V0 VT] is row-rank deficient")
     return problem
 
@@ -217,25 +227,20 @@ def factor_cost(triple: PopovTriple, pol: TolerancePolicy = DEFAULT_POLICY):
     """Factor the stage cost as Pi = [C D]' [C D].
 
     Returns (C, D) with C of shape (p, n) and D of shape (p, m) where
-    p = rank(Pi).  Built from the eigendecomposition of Pi, keeping
-    eigenvalues above the rank cutoff; eigenvalues more negative than
-    ``-residual_tol * (1 + ||Pi||)`` raise IndefiniteCostError.  Rows are
-    ordered by decreasing eigenvalue with deterministic signs.
+    p = rank(Pi).  Built from the eigendecomposition of
+    0.5 (Pi + Pi'), keeping eigenvalues above the rank cutoff.  A Pi
+    that is not symmetric, or has an eigenvalue more negative than
+    ``-residual_tol * (1 + s)`` (s the largest eigenvalue modulus),
+    raises IndefiniteCostError.  Rows are ordered by decreasing
+    eigenvalue with deterministic signs.
     """
-    pi = 0.5 * (triple.pi + triple.pi.T)
-    n, m = triple.n, triple.m
-    if pi.size == 0:
-        return np.zeros((0, n)), np.zeros((0, m))
-    w, W = np.linalg.eigh(pi)
-    scale = max(abs(w[0]), abs(w[-1])) if len(w) else 0.0
-    if w[0] < -pol.residual_tol * (1.0 + scale):
-        raise IndefiniteCostError("stage cost Pi is not positive semidefinite")
+    w, W, scale = _symmetric_psd(triple.pi, "stage cost Pi",
+                                 IndefiniteCostError, pol)
     w = w[::-1]
     W = _fix_signs(W[:, ::-1])
-    cutoff = pol.rank_rel_tol * pi.shape[0] * scale
-    keep = w > cutoff
+    keep = w > pol.rank_rel_tol * len(w) * scale
     F = (W[:, keep] * np.sqrt(w[keep])).T
-    return F[:, :n], F[:, n:]
+    return F[:, :triple.n], F[:, triple.n:]
 
 
 def evaluate_cost(problem: LqProblem, xs, us) -> float:

@@ -362,18 +362,14 @@ class PencilSpectrum:
 
         P_inf = [[I, 0, 0], [0, A_X22', 0], [0, B12', 0]]
 
-    (rank-chain and kernel-dimension respectively).  The refined_*
-    fields report the alternative count m1 + (zero modes of the
-    unobservable part of (A_X22', B12')); they are diagnostics only and
-    can differ from the operational values on degenerate instances.
+    (rank-chain and kernel-dimension respectively): the size of the
+    eigenvalue at infinity and the number of its Jordan blocks.
     """
 
     normal_rank: int
     finite_eigenvalues: tuple
     infinite_algebraic: int
     infinite_geometric: int
-    refined_algebraic: int
-    refined_geometric: int
     probes: tuple
 
 
@@ -445,25 +441,11 @@ def generalized_spectrum(dec: PencilDecomposition,
     P_inf[2 * d:, d:2 * d] = dec.B12.T
     inf_alg, inf_geo = _zero_multiplicities(P_inf, pol)
 
-    # Observability-based refinement (diagnostic): zero modes of the
-    # unobservable part of (A_X22', B12'), plus one per regular input.
-    if d:
-        obs_blocks = [dec.B12.T]
-        for _ in range(d - 1):
-            obs_blocks.append(obs_blocks[-1] @ A22.T)
-        Nb = kernel_basis(np.vstack(obs_blocks), pol)
-        A_unobs = Nb.T @ A22.T @ Nb
-        ref_alg, ref_geo = _zero_multiplicities(A_unobs, pol)
-    else:
-        ref_alg = ref_geo = 0
-
     return PencilSpectrum(
         normal_rank=int(nr),
         finite_eigenvalues=finite,
         infinite_algebraic=int(inf_alg),
         infinite_geometric=int(inf_geo),
-        refined_algebraic=int(m1 + ref_alg),
-        refined_geometric=int(m1 + ref_geo),
         probes=probes,
     )
 

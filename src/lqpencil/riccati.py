@@ -140,8 +140,9 @@ def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> Ric
     NotRiccatiSolutionError
         Carrying both residual norms, when either check fails.
     IndefiniteCostError
-        When X passes both checks but Pi is not positive semidefinite,
-        so that the certificate's output matrix C_X does not exist.
+        When X passes both checks but Pi is not symmetric positive
+        semidefinite, so that the certificate's output matrix C_X does
+        not exist.
     """
     return _certify(sigma, _evaluate(sigma, X, pol), pol)
 

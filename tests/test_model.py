@@ -90,6 +90,37 @@ def test_validate_rejects_indefinite_penalty(cyclic):
         validate(LqProblem(cyclic.triple, 3, bd))
 
 
+def test_validate_rejects_non_symmetric_cost(cyclic):
+    # the symmetric part diag(-5e-8, 1) alone would pass
+    tr = cyclic.triple
+    bad = PopovTriple(tr.A, tr.B, [[-5e-8, 10.0], [-10.0, 1.0]], tr.S, tr.R)
+    with pytest.raises(IndefiniteCostError, match="Pi is not symmetric"):
+        validate(LqProblem(bad, 3, cyclic.boundary))
+    with pytest.raises(IndefiniteCostError, match="Pi is not symmetric"):
+        factor_cost(bad)
+
+
+def test_validate_rejects_non_symmetric_penalty(cyclic):
+    # e' H e is that of H = I, but H e is not the gradient
+    bd = cyclic.boundary
+    H = np.eye(4)
+    H[0, 1], H[1, 0] = 0.8, -0.8
+    with pytest.raises(IndefinitePenaltyError, match="H is not symmetric"):
+        validate(LqProblem(cyclic.triple, 3,
+                           BoundarySpec(bd.V0, bd.VT, bd.v, H, bd.h0, bd.hT)))
+
+
+def test_validate_accepts_rounding_asymmetry(cyclic):
+    tr, bd = cyclic.triple, cyclic.boundary
+    Q = tr.Q + np.array([[0.0, 1e-14 * np.linalg.norm(tr.Q, 2)], [0.0, 0.0]])
+    H = bd.H + np.diag([1e-14 * np.linalg.norm(bd.H, 2)] * 3, k=1)
+    triple = PopovTriple(tr.A, tr.B, Q, tr.S, tr.R)
+    validate(LqProblem(triple, 3,
+                       BoundarySpec(bd.V0, bd.VT, bd.v, H, bd.h0, bd.hT)))
+    np.testing.assert_allclose(np.hstack(factor_cost(triple)),
+                               np.hstack(factor_cost(tr)), atol=1e-13)
+
+
 def test_validate_rejects_rank_deficient_constraints(cyclic):
     V0 = np.vstack([np.eye(2), np.eye(2)[:1]])  # duplicated row
     VT = np.vstack([-np.eye(2), -np.eye(2)[:1]])

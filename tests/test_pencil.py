@@ -56,6 +56,29 @@ def esp_blocks(dec, z):
     return np.block(rows)
 
 
+def infinite_structure(p):
+    """(algebraic, geometric) multiplicity of the eigenvalue at infinity
+    of N - zM, computed independently of the canonical blocks.
+
+    For the reversed pencil M - mu N, W_k is the k x k block
+    lower-bidiagonal matrix with M on the diagonal and -N below it;
+    dim ker W_k - dim ker W_(k-1) counts one vector per right minimal
+    index (size - normal rank of them) plus one per Jordan block at
+    mu = 0 (z = infinity) of size >= k.
+    """
+    right = p.size - normal_rank(p)
+    blocks, kernel_prev = [], 0
+    for k in range(1, p.size + 1):
+        W = np.kron(np.eye(k), p.M) - np.kron(np.eye(k, k=-1), p.N)
+        kernel = k * p.size - rank_of(W)
+        count = kernel - kernel_prev - right
+        if count == 0:
+            break
+        blocks.append(count)
+        kernel_prev = kernel
+    return sum(blocks), blocks[0] if blocks else 0
+
+
 def test_build_esp_scalar_layout():
     sigma = PopovTriple([[2.0]], [[3.0]], [[5.0]], [[7.0]], [[11.0]])
     p = build_esp(sigma)
@@ -300,7 +323,7 @@ def test_spectrum_running_example(sing_dec):
     assert ev.multiplicity == 1
     assert ev.rank_at_value == 4
     assert (spec.infinite_algebraic, spec.infinite_geometric) == (2, 1)
-    assert (spec.refined_algebraic, spec.refined_geometric) == (1, 1)
+    assert infinite_structure(sing_dec.pencil) == (2, 1)
     assert len(spec.probes) == 7
     # z = 1 is not an eigenvalue: full normal rank there
     assert rank_of(sing_dec.pencil.at(1.0)) == spec.normal_rank
@@ -316,10 +339,10 @@ def test_spectrum_regular_reciprocal_pairs():
     got = sorted((round(ev.value.real, 6), ev.multiplicity)
                  for ev in spec.finite_eigenvalues)
     assert got == [(0.5, 2), (2.0, 2)]
-    # regular pencil: m1 infinite eigenvalues, all in one chain here
+    # regular pencil: m1 = 2 infinite eigenvalues, in two 1 x 1 blocks
     assert spec.infinite_algebraic == 2
     assert spec.infinite_geometric == 2
-    assert spec.refined_algebraic == spec.infinite_algebraic
+    assert infinite_structure(dec.pencil) == (2, 2)
 
 
 def test_spectrum_invariants_random_singular():
@@ -334,6 +357,8 @@ def test_spectrum_invariants_random_singular():
         dec = reachability_decomposition(cert, split_inputs(cert))
         spec = generalized_spectrum(dec)
         assert spec.normal_rank == 2 * sigma.n + dec.m1
+        assert infinite_structure(dec.pencil) == (spec.infinite_algebraic,
+                                                  spec.infinite_geometric)
         vals = [ev.value for ev in spec.finite_eigenvalues]
         mults = [ev.multiplicity for ev in spec.finite_eigenvalues]
         for ev in spec.finite_eigenvalues:
