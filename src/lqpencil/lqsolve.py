@@ -179,15 +179,24 @@ def _steering_stacks(dec: PencilDecomposition, horizon: int):
 
     R1 = [B21 | A11 B21 | ... | A11^(T-1) B21],
     R2 = [I | A11 | ... | A11^(T-1)].  Returns (R1, R2).
+
+    Raises
+    ------
+    DecompositionError
+        If the stacks are not finite (the powers of A_X11 overflow).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     r = dec.r
     seed = np.zeros((horizon, r, r))
     seed[0] = np.eye(r)
-    # row k of the scan is (A11^k)'
-    R2 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * r)
-    R1 = (R2.reshape(r, horizon, r) @ dec.B21).reshape(r, horizon * dec.m2)
+    # An overflow is reported below, as non-finite steering rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row k of the scan is (A11^k)'
+        R2 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * r)
+        R1 = (R2.reshape(r, horizon, r) @ dec.B21).reshape(r, horizon * dec.m2)
+    if not (np.isfinite(R1).all() and np.isfinite(R2).all()):
+        raise DecompositionError("steering rows are not finite")
     return R1, R2
 
 

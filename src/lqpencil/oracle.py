@@ -5,11 +5,28 @@ problem is exactly
 
     minimize  z' G z - 2 b' z + c0    subject to  Aeq z = beq,
 
-with G PSD.  This module builds that QP by direct accumulation of the
-stage costs over the trajectory map (no Riccati equations, no pencil)
-and solves it by the null-space method, giving an algorithmically
-independent check of the decomposition-based solver.  Intended for desk
-scale; it refuses problems with more than 2000 decision variables.
+with G PSD.  This module builds that QP from the trajectory map alone
+(no Riccati equations, no pencil) and solves it by the null-space
+method, giving an algorithmically independent check of the
+decomposition-based solver.
+
+Assembly is condensed by lag, as for a time-invariant plant in Frison
+and Jorgensen (CDC 2013).  With F_k = A^k B and the open-loop stage sums
+Y_0 = H_TT, Y_k = Q + A' Y_(k-1) A, every block of G is one product of
+F, A^j and Y.  G is filled in O(T n^3 + T^2 n m^2): the powers of A by
+doubling, the sums Y_k as one cumulative sum, and the control blocks by
+one product per control column, T Python steps in all.
+
+The null-space step works through the row space V1 of Aeq, which has
+at most 2n rows; no basis of ker Aeq is formed.  With P = I - V1 V1' it
+solves P G P y = P r by one dense minimum-norm least-squares solve, in
+O(dim^3).  Since (PGP)^+ = Z (Z'GZ)^+ Z' for any orthonormal basis Z of
+ker Aeq, this is the minimum-norm solution in the reduced coordinates.
+
+Limits: the oracle refuses more than 2000 decision variables
+(dim = n + m T); its solve is O(dim^3); and G carries the powers A^t, so
+its conditioning degrades like rho(A)^(2T), and a flat QP that
+overflows is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    kernel_basis,
+    _svd_cutoff,
     solve_affine,
 )
 from .model import LqProblem
@@ -30,7 +47,8 @@ MAX_FLAT_VARIABLES = 2000
 
 
 class OracleSizeError(ValueError):
-    """The flat QP would exceed the oracle's size guard."""
+    """The flat QP is beyond what the dense oracle can represent (size
+    guard or overflow)."""
 
 
 class UnboundedObjectiveError(RuntimeError):
@@ -66,13 +84,22 @@ class FlatQp:
 
 
 def flatten(problem: LqProblem) -> FlatQp:
-    """Accumulate stage costs and endpoint terms over the trajectory map
-    x(t) = A^t x(0) + sum_{j<t} A^(t-1-j) B u(j).
+    """Condense stage costs and endpoint terms over the trajectory map
+    x(t) = A^t x(0) + sum_{j<t} F_(t-1-j) u(j), with F_k = A^k B.
+
+    With K_j = A' Y_(T-1-j) B + S and H split as [[H_00, H_0T],
+    [H_T0, H_TT]] over [x(0); x(T)], the blocks of G are
+
+        G[u_j, u_j] = B' Y_(T-1-j) B + R,
+        G[u_i, u_j] = F_(j-1-i)' K_j                      (i < j),
+        G[x0, u_j]  = (A^j)' K_j + H_0T F_(T-1-j),
+        G[x0, x0]   = Y_T + H_00 + H_0T A^T + (A^T)' H_T0.
 
     Raises
     ------
     OracleSizeError
-        When n + m*T exceeds the size guard.
+        When n + m*T exceeds the size guard, or when G, b or Aeq is not
+        finite (the powers of A overflow).
     """
     tr, bd = problem.triple, problem.boundary
     n, m, T = tr.n, tr.m, problem.horizon
@@ -81,29 +108,94 @@ def flatten(problem: LqProblem) -> FlatQp:
         raise OracleSizeError(
             f"flat QP has {dim} variables (limit {MAX_FLAT_VARIABLES})")
 
-    pi = tr.pi
-    G = np.zeros((dim, dim))
-    # Phi maps z to x(t); advanced in place as t grows.
-    Phi = np.zeros((n, dim))
-    Phi[:, :n] = np.eye(n)
-    for t in range(T):
-        Mt = np.zeros((n + m, dim))
-        Mt[:n] = Phi
-        Mt[n:, n + t * m:n + (t + 1) * m] = np.eye(m)
-        G += Mt.T @ pi @ Mt
-        Phi = tr.A @ Phi
-        Phi[:, n + t * m:n + (t + 1) * m] += tr.B
-    Me = np.zeros((2 * n, dim))
-    Me[:n, :n] = np.eye(n)
-    Me[n:] = Phi  # Phi now maps z to x(T)
-    h = np.concatenate([bd.h0, bd.hT])
-    G += Me.T @ bd.H @ Me
-    G = 0.5 * (G + G.T)
-    b = Me.T @ (bd.H @ h)
-    c0 = float(h @ bd.H @ h)
-    Aeq = bd.V @ Me
+    A, B, S = tr.A, tr.B, tr.S
+    # Only the symmetric parts of Q, R and H enter the cost.
+    Q = 0.5 * (tr.Q + tr.Q.T)
+    R = 0.5 * (tr.R + tr.R.T)
+    H = 0.5 * (bd.H + bd.H.T)
+    # An overflow is reported below, as a non-finite QP.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Apow[k] = A^k for k <= T, by doubling: Apow[k:2k] = Apow[:k] A^k
+        Apow = np.empty((T + 1, n, n))
+        Apow[0], Ak, k = np.eye(n), A, 1
+        while k <= T:
+            Apow[k:2 * k] = Apow[:min(k, T + 1 - k)] @ Ak
+            Ak, k = Ak @ Ak, 2 * k
+        At = Apow.transpose(0, 2, 1)
+        F = Apow[:T] @ B
+        # Y_k = sum_{l<k} (A^l)' Q A^l + (A^k)' H_TT A^k
+        Y = At @ H[n:, n:] @ Apow
+        Y[1:] += np.cumsum(At[:T] @ Q @ Apow[:T], axis=0)
+        YB = Y[T - 1::-1] @ B  # Y_(T-1-j) B, the sum seen by u(j)
+        K = A.T @ YB + S
+        diag = B.T @ YB + R
+        # x(T) = A^T x(0) + C u with C = [F_(T-1) ... F_0]; the blocks
+        # of u(0..j-1) in x(j) are the last j blocks of C.
+        C = F[::-1].transpose(1, 0, 2).reshape(n, T * m)
+
+        # The blocks above the diagonal, then their mirror, then the
+        # diagonal blocks.
+        G = np.zeros((dim, dim))
+        Gxu = At[:T] @ K + H[:n, n:] @ F[::-1]
+        G[:n, n:] = Gxu.transpose(1, 0, 2).reshape(n, T * m)
+        for j in range(1, T):
+            c = n + j * m
+            G[n:c, c:c + m] = C[:, (T - j) * m:].T @ K[j]
+        G += G.T
+        cross = H[:n, n:] @ Apow[T]
+        Gxx = Y[T] + H[:n, :n] + cross + cross.T
+        G[:n, :n] = 0.5 * (Gxx + Gxx.T)
+        t = np.arange(T)
+        G[n:, n:].reshape(T, m, T, m)[t, :, t] = \
+            0.5 * (diag + diag.transpose(0, 2, 1))
+
+        Me = np.zeros((2 * n, dim))
+        Me[:n, :n] = np.eye(n)
+        Me[n:, :n] = Apow[T]
+        Me[n:, n:] = C
+        h = np.concatenate([bd.h0, bd.hT])
+        b = Me.T @ (H @ h)
+        c0 = float(h @ H @ h)
+        Aeq = bd.V @ Me
+    if not (np.isfinite(G).all() and np.isfinite(b).all()
+            and np.isfinite(Aeq).all()):
+        raise OracleSizeError(
+            f"flat QP over horizon {T} is not finite (overflow)")
     return FlatQp(G=G, b=b, c0=c0, Aeq=Aeq, beq=bd.v.copy(),
                   n=n, m=m, horizon=T)
+
+
+def _row_space(Aeq, pol: TolerancePolicy) -> np.ndarray:
+    """Orthonormal basis V1 (dim x rank) of the row space of Aeq, by a
+    thin SVD with the policy cutoff; ker Aeq is its complement."""
+    if not Aeq.shape[0]:
+        return np.zeros((Aeq.shape[1], 0))
+    _, s, Vt = np.linalg.svd(Aeq, full_matrices=False)
+    return Vt[:int(np.sum(s > _svd_cutoff(s, Aeq.shape, pol)))].T
+
+
+def _project(V1, x):
+    """P x = x - V1 V1' x, the orthogonal projection onto ker Aeq."""
+    return x - V1 @ (V1.T @ x)
+
+
+def _reduced_hessian(G, V1):
+    """P G P + s V1 V1' by one rank-2q update, s the largest diagonal
+    entry of P G P.
+
+    P G P = G - V1 E0' - E0 V1' with E0 = G V1 - V1 (V1' G V1) / 2.  The
+    update leaves rounding of the size eps*|G| in the row space of Aeq,
+    which can exceed the solve's machine-precision rank cutoff; the term
+    s V1 V1' gives those directions a curvature on the scale of P G P
+    instead.  The right-hand side and the solution are projected onto
+    ker Aeq, so the term does not change the minimizer.
+    """
+    GV1 = G @ V1
+    E = GV1 - 0.5 * V1 @ (V1.T @ GV1)
+    s = np.max(np.diag(G) - 2.0 * np.sum(V1 * E, axis=1))
+    E -= 0.5 * s * V1
+    Gw = np.hstack([V1, E]) @ np.hstack([E, V1]).T
+    return np.subtract(G, Gw, out=Gw)
 
 
 def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -122,10 +214,9 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
     z_f, feasible = solve_affine(qp.Aeq, qp.beq, pol)
     if not feasible:
         return z_f, qp.cost(z_f), False
-    Z = kernel_basis(qp.Aeq, pol)
-    Gw = Z.T @ qp.G @ Z
-    Gw = 0.5 * (Gw + Gw.T)
-    bw = Z.T @ (qp.b - qp.G @ z_f)
+    V1 = _row_space(qp.Aeq, pol)
+    Gw = _reduced_hessian(qp.G, V1)
+    bw = _project(V1, qp.b - qp.G @ z_f)
     # Minimum-norm least-squares solve at machine-precision rank cutoff:
     # the policy cutoff is relative to sigma_max and can discard genuine
     # small curvature directions of badly scaled instances.
@@ -135,13 +226,12 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
         raise UnboundedObjectiveError(
             "reduced normal equations are inconsistent; "
             "the objective is not bounded below on the feasible set")
-    z = z_f + Z @ w
+    z = z_f + _project(V1, w)
     return z, qp.cost(z), True
 
 
 def projected_gradient_norm(qp: FlatQp, z, pol: TolerancePolicy = DEFAULT_POLICY) -> float:
     """Norm of the objective gradient projected onto ker Aeq at z;
     zero at any constrained minimizer."""
-    Z = kernel_basis(qp.Aeq, pol)
     grad = 2.0 * (qp.G @ np.asarray(z, dtype=float) - qp.b)
-    return float(np.linalg.norm(Z.T @ grad))
+    return float(np.linalg.norm(_project(_row_space(qp.Aeq, pol), grad)))

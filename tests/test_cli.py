@@ -295,6 +295,28 @@ def test_overflowing_gramian_exit_code(tmp_path, capsys):
                               "error": "endpoint gramian is not finite"}
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, code, status, error", [
+    ("solve", EXIT_DECOMPOSITION_FAILED, "decomposition-failed",
+     "steering rows are not finite"),
+    ("oracle", EXIT_BAD_INPUT, "bad-input",
+     "flat QP over horizon 1000 is not finite (overflow)"),
+])
+def test_overflowing_powers_exit_codes(tmp_path, capsys, command, code,
+                                       status, error):
+    # A = 3, B = 1 and T = 1000: the steering rows and the flat QP both
+    # carry 3^999, which overflows
+    triple = PopovTriple([[3.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
+    bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
+                      np.eye(2), np.ones(1), np.ones(1))
+    path = tmp_path / "overflow.json"
+    save_problem(LqProblem(triple, 1000, bd), path)
+    got, out = run_cli([command, "--problem", str(path)], capsys)
+    assert got == code
+    assert last_json(out) == {"command": command, "status": status,
+                              "error": error}
+
+
 def test_bad_input_exit_codes(tmp_path, capsys):
     code, _ = run_cli(["solve", "--problem", str(tmp_path / "missing.json")],
                       capsys)

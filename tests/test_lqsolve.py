@@ -213,6 +213,18 @@ def test_endpoint_gramian_overflow_is_decomposition_error():
         solve_problem(problem, iterate_grde(triple))
 
 
+@pytest.mark.filterwarnings("error")
+def test_steering_stack_overflow_is_decomposition_error():
+    # A = 3, B = 1 and T = 1000: the powers of A_X11 = 3 in the steering
+    # rows overflow
+    triple = PopovTriple([[3.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
+    bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
+                      np.eye(2), np.ones(1), np.ones(1))
+    problem = LqProblem(triple, 1000, bd)
+    with pytest.raises(DecompositionError, match="steering rows are not finite"):
+        solve_problem(problem, iterate_grde(triple))
+
+
 def test_trajectory_param_stacks(sing_dec):
     R1, R2 = _steering_stacks(sing_dec, 3)
     assert R1.shape == (1, 3)

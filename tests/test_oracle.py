@@ -13,10 +13,11 @@ from lqpencil import (
     flatten,
     solve_flat,
 )
+from lqpencil.linalg import kernel_basis, solve_affine
 from lqpencil.model import evaluate_cost, simulate
 from lqpencil.oracle import MAX_FLAT_VARIABLES, FlatQp, projected_gradient_norm
 
-from conftest import attach_random_boundary, random_regular_problem
+from conftest import random_regular_problem, random_singular_triple
 
 
 def scalar_chain_problem(with_penalty):
@@ -117,7 +118,6 @@ def test_oracle_minimizer_beats_random_feasible_points(cyclic):
     assert feasible
     assert cost == pytest.approx(8.0 / 3.0, abs=1e-9)
     assert projected_gradient_norm(qp, z_opt) <= 1e-9
-    from lqpencil.linalg import kernel_basis, solve_affine
     z_f, _ = solve_affine(qp.Aeq, qp.beq)
     Z = kernel_basis(qp.Aeq)
     for _ in range(100):
@@ -128,7 +128,6 @@ def test_oracle_minimizer_beats_random_feasible_points(cyclic):
 def test_projected_gradient_positive_off_optimum(cyclic):
     qp = flatten(cyclic)
     z_opt, _, _ = solve_flat(qp)
-    from lqpencil.linalg import kernel_basis
     Z = kernel_basis(qp.Aeq)
     z_bad = z_opt + Z @ np.ones(Z.shape[1])
     assert projected_gradient_norm(qp, z_bad) > 1e-3
@@ -175,3 +174,129 @@ def test_oracle_agrees_on_random_regular_batch(pol):
         assert projected_gradient_norm(qp, z) <= \
             1e-6 * (1 + np.linalg.norm(qp.G))
         done += 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_flatten_overflow_is_size_error():
+    # A = 3 and T = 1000: A^T = 3^1000 overflows the dense QP
+    triple = PopovTriple([[3.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
+    bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
+                      np.eye(2), np.ones(1), np.ones(1))
+    with pytest.raises(OracleSizeError, match="not finite"):
+        flatten(LqProblem(triple, 1000, bd))
+
+
+def stagewise_flatten(problem):
+    """Test-side reference: accumulate each stage's cost as one dense
+    dim x dim term over the trajectory map z -> x(t)."""
+    tr, bd = problem.triple, problem.boundary
+    n, m, T = tr.n, tr.m, problem.horizon
+    dim = n + m * T
+    G = np.zeros((dim, dim))
+    Phi = np.zeros((n, dim))  # maps z to x(t)
+    Phi[:, :n] = np.eye(n)
+    for t in range(T):
+        Mt = np.zeros((n + m, dim))
+        Mt[:n] = Phi
+        Mt[n:, n + t * m:n + (t + 1) * m] = np.eye(m)
+        G += Mt.T @ tr.pi @ Mt
+        Phi = tr.A @ Phi
+        Phi[:, n + t * m:n + (t + 1) * m] += tr.B
+    Me = np.zeros((2 * n, dim))
+    Me[:n, :n] = np.eye(n)
+    Me[n:] = Phi  # Phi now maps z to x(T)
+    h = np.concatenate([bd.h0, bd.hT])
+    G += Me.T @ bd.H @ Me
+    return FlatQp(G=0.5 * (G + G.T), b=Me.T @ (bd.H @ h),
+                  c0=float(h @ bd.H @ h), Aeq=bd.V @ Me, beq=bd.v.copy(),
+                  n=n, m=m, horizon=T)
+
+
+def nullspace_solve(qp):
+    """Test-side reference: the minimizer in an explicit orthonormal
+    kernel basis Z of Aeq, minimum-norm in the reduced coordinates."""
+    z_f, feasible = solve_affine(qp.Aeq, qp.beq)
+    assert feasible
+    Z = kernel_basis(qp.Aeq)
+    w, *_ = np.linalg.lstsq(Z.T @ qp.G @ Z, Z.T @ (qp.b - qp.G @ z_f),
+                            rcond=None)
+    return z_f + Z @ w
+
+
+def lag_test_problem(seed, n, m, T, q, rho, singular_R):
+    """Random plant scaled to spectral radius rho, with S != 0, a full
+    endpoint penalty (H_0T != 0) and q constraint rows; singular_R makes
+    the input block of the cost factor rank one."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    W = rng.normal(size=(n + m + 1, n + m))
+    if singular_R:
+        W[:, n:] = np.outer(W[:, n], rng.normal(size=m))
+    pi = W.T @ W
+    Wh = rng.normal(size=(2 * n + 1, 2 * n))
+    bd = BoundarySpec(rng.normal(size=(q, n)), rng.normal(size=(q, n)),
+                      rng.normal(size=q), Wh.T @ Wh,
+                      rng.normal(size=n), rng.normal(size=n))
+    triple = PopovTriple(A, rng.normal(size=(n, m)), pi[:n, :n], pi[:n, n:],
+                         pi[n:, n:])
+    return LqProblem(triple, T, bd)
+
+
+@pytest.mark.parametrize("n, m, T, q, rho, singular_R", [
+    (3, 2, 1, 0, 0.9, False),
+    (3, 2, 1, 6, 1.3, True),
+    (3, 2, 2, 3, 1.3, True),
+    (2, 1, 2, 4, 0.7, False),
+    (3, 1, 17, 0, 1.2, False),
+    (3, 1, 17, 3, 0.9, False),
+    (2, 3, 17, 4, 1.1, True),
+    (4, 2, 17, 0, 0.95, True),
+])
+def test_condensed_flatten_matches_stagewise(n, m, T, q, rho, singular_R):
+    p = lag_test_problem(1000 + 10 * T + q, n, m, T, q, rho, singular_R)
+    assert (p.triple.S != 0).all()
+    assert (p.boundary.H[:n, n:] != 0).all()
+    assert np.linalg.matrix_rank(p.triple.R) == (1 if singular_R else m)
+    qp, ref = flatten(p), stagewise_flatten(p)
+    for got, want in ((qp.G, ref.G), (qp.b, ref.b), (qp.Aeq, ref.Aeq)):
+        scale = np.abs(want).max() if want.size else 0.0
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+    assert qp.c0 == pytest.approx(ref.c0, rel=1e-12)
+    np.testing.assert_array_equal(qp.beq, ref.beq)
+
+
+def test_solve_flat_matches_kernel_basis_reduction():
+    # Singular R makes the optimum non-unique on about half of the draws;
+    # both methods then pick the minimum-norm optimum in the reduced
+    # coordinates.  That choice is compared where the data decide it:
+    # where the kernel-basis solve gives the same z on the stage-wise and
+    # on the condensed G.  On the other draws rounding of the size
+    # eps*|G| passes the solve's machine-precision rank cutoff and picks
+    # the optimum, for the kernel-basis solve as well.
+    rng = np.random.default_rng(211)
+    checked = non_unique = 0
+    for _ in range(40):
+        triple = random_singular_triple(rng)
+        n = triple.n
+        T = int(rng.integers(1, 7))
+        q = int(rng.integers(0, 2 * n + 1))
+        Wh = rng.normal(size=(2 * n + 1, 2 * n))
+        bd = BoundarySpec(rng.normal(size=(q, n)), rng.normal(size=(q, n)),
+                          rng.normal(size=q), Wh.T @ Wh,
+                          rng.normal(size=n), rng.normal(size=n))
+        p = LqProblem(triple, T, bd)
+        qp = flatten(p)
+        z, _, feasible = solve_flat(qp)
+        if not feasible:
+            continue
+        z_ref = nullspace_solve(qp)
+        tol = 1e-9 * (1 + np.abs(z_ref).max())
+        if np.abs(nullspace_solve(stagewise_flatten(p)) - z_ref).max() > tol:
+            continue
+        np.testing.assert_allclose(z, z_ref, rtol=0, atol=tol)
+        checked += 1
+        Z = kernel_basis(qp.Aeq)
+        sv = np.linalg.svd(Z.T @ qp.G @ Z, compute_uv=False)
+        non_unique += bool(sv.size) and sv[-1] <= 1e-12 * sv[0]
+    assert checked >= 30 and non_unique >= 10
