@@ -315,31 +315,6 @@ class LqSolution:
     m2: int
 
 
-def free_control_for_chi(problem: LqProblem, dec: PencilDecomposition, chi,
-                         pol: TolerancePolicy = DEFAULT_POLICY):
-    """Minimum-norm stacked free inputs consistent with a boundary
-    parameter chi; returns (u_stack, steering, reachable) as in
-    :func:`control_free_param`."""
-    x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
-    *_, xi = _sweep(dec, problem.horizon, x2_0, l2T)
-    return control_free_param(dec, problem.horizon, x1_0, x1_T, xi, pol)
-
-
-def reconstruct_trajectories(problem: LqProblem, dec: PencilDecomposition,
-                             chi, u_free_stack,
-                             pol: TolerancePolicy = DEFAULT_POLICY):
-    """Rebuild (x, u, costate) arrays from (chi, stacked free inputs).
-
-    ``u_free_stack`` follows the time-reversed convention of
-    :func:`control_free_param`.  Returns arrays of shapes (T+1, n),
-    (T, m), (T+1, n).
-    """
-    x1_0, _, x2_0, l2T = _split_chi(dec, chi)
-    u_free_stack = _as_vector(u_free_stack, "u_free_stack") if dec.m2 else np.zeros(0)
-    return _trajectories(dec, x1_0, _sweep(dec, problem.horizon, x2_0, l2T),
-                         u_free_stack)
-
-
 def _trajectories(dec: PencilDecomposition, x1_0, swept, u_free_stack):
     """(x, u, costate) from x1(0), the output of :func:`_sweep` and the
     stacked free inputs."""
@@ -402,12 +377,13 @@ def solve_problem(problem: LqProblem, cert: RiccatiCertificate,
 
     Raises
     ------
-    InfeasibleProblemError
-        The boundary system has no solution (no optimum exists).
-    HorizonTooShortError
-        The horizon is below the controllability index of the
-        reachable block, where the boundary system stops being a
-        faithful feasibility test.
+    ValidationError
+        The problem fails :func:`~lqpencil.model.validate`.
+    DecompositionError
+        The reachability decomposition fails its invariance or
+        reachability checks, or the solve fails one of its own.
+    InfeasibleProblemError, HorizonTooShortError
+        As in :func:`solve_with_decomposition`.
     """
     validate(problem, pol)
     dec = reachability_decomposition(cert, split_inputs(cert, pol), pol)
@@ -416,7 +392,22 @@ def solve_problem(problem: LqProblem, cert: RiccatiCertificate,
 
 def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
                              pol: TolerancePolicy = DEFAULT_POLICY) -> LqSolution:
-    """Solve with a pre-computed decomposition (see :func:`solve_problem`)."""
+    """Solve with a pre-computed decomposition (see :func:`solve_problem`).
+
+    Raises
+    ------
+    DecompositionError
+        The endpoint gramian or the steering rows are not finite (the
+        powers of A_X22 or A_X11 overflow), the gramian fails its Stein
+        identity, or the reconstructed x1(T) misses its target.
+    InfeasibleProblemError
+        The boundary system has no solution (no optimum exists).
+    HorizonTooShortError
+        The horizon is below the controllability index of the
+        reachable block, where the boundary system stops being a
+        faithful feasibility test, or the required endpoint
+        displacement is outside the horizon's reach.
+    """
     T_h = problem.horizon
     r = dec.r
 

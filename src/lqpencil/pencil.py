@@ -117,7 +117,11 @@ def riccati_congruence(cert: RiccatiCertificate,
 
     identically in z.  U_X has determinant 1 and V_X determinant
     (-1)^n, so ranks are preserved.  The identity is verified at
-    z in {0, 1} before returning.
+    z in {0, 1} before returning, without singular values: the
+    residual's Frobenius norm against ``residual_tol`` times
+    1 + max|N| + max|M| + max|X| (largest absolute entries).  As
+    ||R||_2 <= ||R||_F and max|a_ij| <= ||A||_2, this is at least as
+    strict as the same bound in spectral norms.
 
     Returns
     -------
@@ -126,8 +130,7 @@ def riccati_congruence(cert: RiccatiCertificate,
     Raises
     ------
     DecompositionError
-        If the verification residual exceeds
-        ``residual_tol * scale`` at either probe point.
+        If the residual exceeds that bound at either probe point.
     """
     sigma = cert.sigma
     n, m = sigma.n, sigma.m
@@ -142,9 +145,9 @@ def riccati_congruence(cert: RiccatiCertificate,
     V_X[2 * n:, :n] = -K_X
 
     esp = build_esp(sigma)
-    scale = 1.0 + matrix_norm(esp.N) + matrix_norm(esp.M) + matrix_norm(X)
+    scale = 1.0 + sum(np.max(np.abs(W), initial=0.0) for W in (esp.N, esp.M, X))
     for z in (0.0, 1.0):
-        residual = matrix_norm(U_X @ esp.at(z) @ V_X - _triangular_rhs(cert, z))
+        residual = np.linalg.norm(U_X @ esp.at(z) @ V_X - _triangular_rhs(cert, z))
         if residual > pol.residual_tol * scale:
             raise DecompositionError(
                 f"congruence verification failed at z={z} "
@@ -169,8 +172,6 @@ class PencilDecomposition:
 
     cert: RiccatiCertificate
     split: InputSplit
-    U_X: np.ndarray
-    V_X: np.ndarray
     U: np.ndarray
     r: int
     index: int
@@ -180,7 +181,6 @@ class PencilDecomposition:
     B11: np.ndarray
     B12: np.ndarray
     B21: np.ndarray
-    pencil: Pencil
 
     @property
     def n(self) -> int:
@@ -262,16 +262,14 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
     A11, A12, A22 = At[:r, :r], At[:r, r:], At[r:, r:]
     B21 = Bt2[:r, :]
     index = _controllability_index(A11, B21, pol)
-
-    U_X, V_X = riccati_congruence(cert, pol)
     return PencilDecomposition(
-        cert=cert, split=split, U_X=U_X, V_X=V_X, U=U, r=r, index=index,
+        cert=cert, split=split, U=U, r=r, index=index,
         A_X11=A11, A_X12=A12, A_X22=A22,
-        B11=Bt1[:r, :], B12=Bt1[r:, :], B21=B21,
-        pencil=build_esp(cert.sigma))
+        B11=Bt1[:r, :], B12=Bt1[r:, :], B21=B21)
 
 
-def canonical_form(dec: PencilDecomposition) -> Pencil:
+def canonical_form(dec: PencilDecomposition,
+                   pol: TolerancePolicy = DEFAULT_POLICY) -> Pencil:
     """The fully displayed canonical pencil.
 
     Applies, on top of the block-triangular congruence, the orthogonal
@@ -291,7 +289,15 @@ def canonical_form(dec: PencilDecomposition) -> Pencil:
     The upper-left 3-block corner carries the reachable/regular part;
     rank deficiency of the (l1-row, u2-column) zero structure encodes
     the singular part of the pencil.
+
+    Raises
+    ------
+    DecompositionError
+        If the certificate's congruence fails its check (see
+        :func:`riccati_congruence`).
     """
+    U_X, V_X = riccati_congruence(dec.cert, pol)
+    esp = build_esp(dec.cert.sigma)
     n, m = dec.n, dec.m1 + dec.m2
     L = np.zeros((2 * n + m, 2 * n + m))
     L[:n, :n] = dec.U
@@ -305,9 +311,9 @@ def canonical_form(dec: PencilDecomposition) -> Pencil:
     cols = np.concatenate([block[k] for k in (0, 5, 2, 1, 3, 4)])
 
     def transform(W):
-        return (L.T @ dec.U_X @ W @ dec.V_X @ L)[np.ix_(rows, cols)]
+        return (L.T @ U_X @ W @ V_X @ L)[np.ix_(rows, cols)]
 
-    return Pencil(transform(dec.pencil.N), transform(dec.pencil.M))
+    return Pencil(transform(esp.N), transform(esp.M))
 
 
 def probe_ranks(p: Pencil, pol: TolerancePolicy = DEFAULT_POLICY,
@@ -424,13 +430,13 @@ def generalized_spectrum(dec: PencilDecomposition,
     candidates += [1.0 / z for z in eigs if abs(z) > pol.eig_match_tol]
     clusters = _cluster(candidates, pol.eig_match_tol)
 
-    probes = probe_ranks(dec.pencil, pol, seed=seed,
-                         avoid=[c[0] for c in clusters])
+    esp = build_esp(dec.cert.sigma)
+    probes = probe_ranks(esp, pol, seed=seed, avoid=[c[0] for c in clusters])
     nr = max((rk for _, rk in probes), default=0)
 
     finite = tuple(
         FiniteEigenvalue(value=complex(c[0]), multiplicity=int(c[1]),
-                         rank_at_value=rank_of(dec.pencil.at(c[0]), pol))
+                         rank_at_value=rank_of(esp.at(c[0]), pol))
         for c in clusters)
 
     d = A22.shape[0]

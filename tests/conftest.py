@@ -6,6 +6,7 @@ import pytest
 
 from lqpencil import BoundarySpec, LqProblem, PopovTriple, TolerancePolicy, certify
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution, singular_triple
+from lqpencil.lqsolve import _split_chi, _sweep, _trajectories, control_free_param
 from lqpencil.pencil import reachability_decomposition
 from lqpencil.riccati import split_inputs
 
@@ -78,3 +79,14 @@ def attach_random_boundary(rng, triple, dec, extra_horizon=3):
                       rng.normal(size=q), Wh.T @ Wh,
                       rng.normal(size=n), rng.normal(size=n))
     return LqProblem(triple, T, bd)
+
+
+def rebuild_trajectories(problem, dec, chi, free_shift=0.0):
+    """(x, u, costate) at the boundary parameter chi, with the stacked
+    free inputs moved by ``free_shift`` off their minimum-norm choice,
+    along the path the solve itself takes."""
+    x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
+    swept = _sweep(dec, problem.horizon, x2_0, l2T)
+    u_free, _, _ = control_free_param(dec, problem.horizon, x1_0, x1_T,
+                                      swept[3])
+    return _trajectories(dec, x1_0, swept, u_free + free_shift)

@@ -46,18 +46,22 @@ from lqpencil.fixtures import (
 from lqpencil.linalg import kernel_basis
 from lqpencil.lqsolve import (
     endpoint_gramian,
-    free_control_for_chi,
-    reconstruct_trajectories,
     solve_with_decomposition,
 )
 from lqpencil.model import evaluate_cost
-from lqpencil.pencil import generalized_spectrum, reachability_decomposition
+from lqpencil.pencil import (
+    build_esp,
+    generalized_spectrum,
+    reachability_decomposition,
+    riccati_congruence,
+)
 from lqpencil.riccati import split_inputs
 
 from conftest import (
     attach_random_boundary,
     random_regular_problem,
     random_singular_triple,
+    rebuild_trajectories,
 )
 
 REGULAR_SEED = 8251
@@ -467,9 +471,10 @@ def test_criterion6_structural_invariants():
     problems = []
     for k, rec in enumerate(_all_records()):
         dec, cert = rec["dec"], rec["cert"]
-        p = dec.pencil
+        U_X, V_X = riccati_congruence(cert)
+        p = build_esp(dec.cert.sigma)
         for z in (0.0, 1.0):
-            prod = dec.U_X @ p.at(z) @ dec.V_X
+            prod = U_X @ p.at(z) @ V_X
             rhs = _triangular_rhs_of(cert, z)
             scale = 1.0 + np.abs(prod).max() + np.abs(rhs).max()
             if np.abs(prod - rhs).max() > 1e-9 * scale:
@@ -533,21 +538,17 @@ def test_criterion6_structural_invariants():
 
 def _struct_z_span(problem, dec, sol):
     """Optimal-set directions in flat coordinates z = (x(0), u-stack),
-    differenced through the reconstruction map."""
-    base_u, _, _ = free_control_for_chi(problem, dec, sol.chi)
-    xs0, us0, _ = reconstruct_trajectories(problem, dec, sol.chi, base_u)
-    z0 = np.concatenate([xs0[0], us0.reshape(-1)])
-    cols = []
+    differenced through the solve's own reconstruction path."""
+    def flat(chi, free_shift=0.0):
+        xs, us, _ = rebuild_trajectories(problem, dec, chi, free_shift)
+        return np.concatenate([xs[0], us.reshape(-1)])
+
+    z0 = flat(sol.chi)
     free_control = kernel_basis(sol.steering)
-    for k in range(free_control.shape[1]):
-        xs, us, _ = reconstruct_trajectories(
-            problem, dec, sol.chi, base_u + free_control[:, k])
-        cols.append(np.concatenate([xs[0], us.reshape(-1)]) - z0)
-    for k in range(sol.free_boundary.shape[1]):
-        chi2 = sol.chi + sol.free_boundary[:, k]
-        u2, _, _ = free_control_for_chi(problem, dec, chi2)
-        xs, us, _ = reconstruct_trajectories(problem, dec, chi2, u2)
-        cols.append(np.concatenate([xs[0], us.reshape(-1)]) - z0)
+    cols = [flat(sol.chi, free_control[:, k]) - z0
+            for k in range(free_control.shape[1])]
+    cols += [flat(sol.chi + sol.free_boundary[:, k]) - z0
+             for k in range(sol.free_boundary.shape[1])]
     if not cols:
         return np.zeros((z0.size, 0))
     return np.array(cols).T

@@ -32,10 +32,9 @@ from lqpencil.lqsolve import (
     assemble_boundary,
     control_free_param,
     endpoint_gramian,
-    free_control_for_chi,
-    reconstruct_trajectories,
     solve_with_decomposition,
 )
+from lqpencil.model import evaluate_cost
 from lqpencil.pencil import (
     PencilDecomposition,
     _controllability_index,
@@ -43,7 +42,11 @@ from lqpencil.pencil import (
 )
 from lqpencil.riccati import InputSplit, split_inputs
 
-from conftest import attach_random_boundary, random_singular_triple
+from conftest import (
+    attach_random_boundary,
+    random_singular_triple,
+    rebuild_trajectories,
+)
 
 
 def dec_without_free_part(a22, b12, rx0):
@@ -53,10 +56,10 @@ def dec_without_free_part(a22, b12, rx0):
         cert=None, split=InputSplit(np.eye(1), np.zeros((1, 0)),
                                     np.array([[rx0]]), np.array([[b12]]),
                                     np.zeros((1, 0))),
-        U_X=None, V_X=None, U=np.eye(1), r=0, index=0,
+        U=np.eye(1), r=0, index=0,
         A_X11=np.zeros((0, 0)), A_X12=np.zeros((0, 1)),
         A_X22=np.array([[a22]]), B11=np.zeros((0, 1)),
-        B12=np.array([[b12]]), B21=np.zeros((0, 0)), pencil=None)
+        B12=np.array([[b12]]), B21=np.zeros((0, 0)))
 
 
 def dec_free_only(a11, b21):
@@ -66,10 +69,10 @@ def dec_free_only(a11, b21):
         cert=None, split=InputSplit(np.zeros((1, 0)), np.eye(1),
                                     np.zeros((0, 0)), np.zeros((1, 0)),
                                     np.array([[b21]])),
-        U_X=None, V_X=None, U=np.eye(1), r=1, index=1,
+        U=np.eye(1), r=1, index=1,
         A_X11=np.array([[a11]]), A_X12=np.zeros((1, 0)),
         A_X22=np.zeros((0, 0)), B11=np.zeros((1, 0)),
-        B12=np.zeros((0, 0)), B21=np.array([[b21]]), pencil=None)
+        B12=np.zeros((0, 0)), B21=np.array([[b21]]))
 
 
 def random_dec(rng, r, nr, m1, m2=1):
@@ -81,11 +84,11 @@ def random_dec(rng, r, nr, m1, m2=1):
         cert=None, split=InputSplit(np.zeros((m, m1)), np.zeros((m, m2)),
                                     G @ G.T + np.eye(m1),
                                     np.zeros((n, m1)), np.zeros((n, m2))),
-        U_X=None, V_X=None, U=np.eye(n), r=r, index=r,
+        U=np.eye(n), r=r, index=r,
         A_X11=rng.normal(size=(r, r)), A_X12=rng.normal(size=(r, nr)),
         A_X22=rng.normal(size=(nr, nr)) / np.sqrt(max(nr, 1)),
         B11=rng.normal(size=(r, m1)), B12=rng.normal(size=(nr, m1)),
-        B21=rng.normal(size=(r, m2)), pencil=None)
+        B21=rng.normal(size=(r, m2)))
 
 
 def test_controllability_index(pol):
@@ -354,17 +357,6 @@ def test_cyclic_free_component_pattern(cyclic, sing_cert, sing_dec):
     assert np.linalg.norm(T2 @ ubar2[0]) == pytest.approx(expected, abs=1e-9)
 
 
-def test_solution_reconstruction_consistency(cyclic, sing_cert, sing_dec):
-    sol = solve_problem(cyclic, sing_cert)
-    u_free, R1, reachable = free_control_for_chi(cyclic, sing_dec, sol.chi)
-    assert reachable
-    np.testing.assert_allclose(R1, sol.steering, atol=1e-12)
-    xs, us, lams = reconstruct_trajectories(cyclic, sing_dec, sol.chi, u_free)
-    np.testing.assert_allclose(xs, sol.x, atol=1e-12)
-    np.testing.assert_allclose(us, sol.u, atol=1e-12)
-    np.testing.assert_allclose(lams, sol.costate, atol=1e-12)
-
-
 def test_first_costate_block_vanishes(cyclic, sing_cert, sing_dec):
     sol = solve_problem(cyclic, sing_cert)
     U1 = sing_dec.U[:, :sing_dec.r]
@@ -376,14 +368,11 @@ def test_first_costate_block_vanishes(cyclic, sing_cert, sing_dec):
 def test_free_directions_preserve_cost_and_feasibility(cyclic, sing_cert,
                                                        sing_dec):
     sol = solve_problem(cyclic, sing_cert)
-    base_free, _, _ = free_control_for_chi(cyclic, sing_dec, sol.chi)
     A, B = cyclic.triple.A, cyclic.triple.B
     free_control = kernel_basis(sol.steering)
     for k in range(free_control.shape[1]):
-        shifted = base_free + 0.37 * free_control[:, k]
-        xs, us, _ = reconstruct_trajectories(cyclic, sing_dec, sol.chi,
-                                             shifted)
-        from lqpencil.model import evaluate_cost
+        xs, us, _ = rebuild_trajectories(cyclic, sing_dec, sol.chi,
+                                         0.37 * free_control[:, k])
         assert evaluate_cost(cyclic, xs, us) == pytest.approx(sol.cost,
                                                               abs=1e-9)
         for t in range(3):

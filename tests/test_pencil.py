@@ -213,6 +213,12 @@ def test_canonical_form_equals_block_assembly(sing_dec):
                                    atol=1e-12)
 
 
+def test_canonical_form_rejects_tampered_certificate(sing_cert, sing_dec):
+    fake = dataclasses.replace(sing_cert, X=sing_cert.X + 0.1 * np.eye(2))
+    with pytest.raises(DecompositionError, match="congruence"):
+        canonical_form(dataclasses.replace(sing_dec, cert=fake))
+
+
 def test_canonical_form_paper_basis_display(sing_cert):
     # hand-picked split/staircase: T1 = (1,1), T2 = (-1,1), U = I
     split = InputSplit(T1=np.array([[1.0], [1.0]]),
@@ -220,13 +226,11 @@ def test_canonical_form_paper_basis_display(sing_cert):
                        R_X0=np.array([[4.0]]),
                        B1=np.array([[2.0], [2.0]]),
                        B2=np.array([[-2.0], [0.0]]))
-    U_X, V_X = riccati_congruence(sing_cert)
     dec = PencilDecomposition(
-        cert=sing_cert, split=split, U_X=U_X, V_X=V_X, U=np.eye(2), r=1,
+        cert=sing_cert, split=split, U=np.eye(2), r=1,
         index=1, A_X11=np.array([[1.0]]), A_X12=np.array([[0.0]]),
         A_X22=np.array([[0.0]]), B11=np.array([[2.0]]),
-        B12=np.array([[2.0]]), B21=np.array([[-2.0]]),
-        pencil=build_esp(sing_cert.sigma))
+        B12=np.array([[2.0]]), B21=np.array([[-2.0]]))
     can = canonical_form(dec)
 
     def display(z):
@@ -323,10 +327,11 @@ def test_spectrum_running_example(sing_dec):
     assert ev.multiplicity == 1
     assert ev.rank_at_value == 4
     assert (spec.infinite_algebraic, spec.infinite_geometric) == (2, 1)
-    assert infinite_structure(sing_dec.pencil) == (2, 1)
+    esp = build_esp(sing_dec.cert.sigma)
+    assert infinite_structure(esp) == (2, 1)
     assert len(spec.probes) == 7
     # z = 1 is not an eigenvalue: full normal rank there
-    assert rank_of(sing_dec.pencil.at(1.0)) == spec.normal_rank
+    assert rank_of(esp.at(1.0)) == spec.normal_rank
 
 
 def test_spectrum_regular_reciprocal_pairs():
@@ -342,7 +347,7 @@ def test_spectrum_regular_reciprocal_pairs():
     # regular pencil: m1 = 2 infinite eigenvalues, in two 1 x 1 blocks
     assert spec.infinite_algebraic == 2
     assert spec.infinite_geometric == 2
-    assert infinite_structure(dec.pencil) == (2, 2)
+    assert infinite_structure(build_esp(dec.cert.sigma)) == (2, 2)
 
 
 def test_spectrum_invariants_random_singular():
@@ -357,8 +362,8 @@ def test_spectrum_invariants_random_singular():
         dec = reachability_decomposition(cert, split_inputs(cert))
         spec = generalized_spectrum(dec)
         assert spec.normal_rank == 2 * sigma.n + dec.m1
-        assert infinite_structure(dec.pencil) == (spec.infinite_algebraic,
-                                                  spec.infinite_geometric)
+        assert infinite_structure(build_esp(dec.cert.sigma)) == (
+            spec.infinite_algebraic, spec.infinite_geometric)
         vals = [ev.value for ev in spec.finite_eigenvalues]
         mults = [ev.multiplicity for ev in spec.finite_eigenvalues]
         for ev in spec.finite_eigenvalues:
