@@ -17,8 +17,8 @@ or candidate rejected, 4 bad input (including a stage cost or endpoint
 penalty that is not symmetric positive semidefinite), 5 an internal
 consistency check of the pencil decomposition failed.
 
-Reports are JSON with a fixed key order, so identical inputs and seed
-produce byte-identical output.
+Reports are JSON with a fixed key order, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .model import (
 )
 from .oracle import OracleSizeError, flatten, projected_gradient_norm, solve_flat
 from .pencil import (
-    DEFAULT_SEED,
     DecompositionError,
     generalized_spectrum,
     reachability_decomposition,
@@ -137,7 +136,6 @@ def _complex_pair(z) -> list:
 def _report(args, pol: TolerancePolicy) -> dict:
     """The opening keys of every report."""
     return {"command": args.command,
-            "seed": args.seed,
             "tolerances": {"rank_rel_tol": pol.rank_rel_tol,
                            "residual_tol": pol.residual_tol,
                            "eig_match_tol": pol.eig_match_tol}}
@@ -213,21 +211,15 @@ def _cmd_solve(args):
 def _cmd_analyze_pencil(args):
     pol, _, report, dec = _decomposed(args)
     del report["riccati"]["X"]
-    spec = generalized_spectrum(dec, pol, seed=args.seed)
+    spec = generalized_spectrum(dec, pol)
     report.update({
         "normal_rank": spec.normal_rank,
-        "expected_normal_rank": 2 * dec.n + dec.m1,
         "finite_eigenvalues": [
-            {"value": _complex_pair(f.value),
-             "multiplicity": f.multiplicity,
-             "rank_at_value": f.rank_at_value}
+            {"value": _complex_pair(f.value), "multiplicity": f.multiplicity}
             for f in spec.finite_eigenvalues
         ],
         "infinite": {"algebraic": spec.infinite_algebraic,
                      "geometric": spec.infinite_geometric},
-        "rank_probes": [
-            {"z": _complex_pair(z), "rank": rk} for z, rk in spec.probes
-        ],
         "status": "ok",
     })
     return report, EXIT_OK
@@ -284,7 +276,7 @@ def _cmd_oracle(args):
     return report, EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
-def _selftest_checks(pol: TolerancePolicy, seed: int):
+def _selftest_checks(pol: TolerancePolicy):
     sigma = singular_triple()
     X = singular_riccati_solution()
     checks = []
@@ -299,7 +291,7 @@ def _selftest_checks(pol: TolerancePolicy, seed: int):
            f"violation {cert.kernel_violation:.2e}")
 
     dec = reachability_decomposition(cert, split_inputs(cert, pol), pol)
-    spec = generalized_spectrum(dec, pol, seed=seed)
+    spec = generalized_spectrum(dec, pol)
     finite_ok = (len(spec.finite_eigenvalues) == 1
                  and abs(spec.finite_eigenvalues[0].value) <= pol.eig_match_tol
                  and spec.finite_eigenvalues[0].multiplicity == 1)
@@ -323,7 +315,7 @@ def _selftest_checks(pol: TolerancePolicy, seed: int):
 
 def _cmd_selftest(args):
     pol = _policy(args)
-    checks = _selftest_checks(pol, args.seed)
+    checks = _selftest_checks(pol)
     all_passed = all(c["passed"] for c in checks)
     report = _report(args, pol)
     report.update({
@@ -398,8 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="relative rank cutoff (default 1e-10)")
         p.add_argument("--residual-tol", type=float, default=None,
                        help="residual tolerance (default 1e-8)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for rank-probe sampling")
     return parser
 
 

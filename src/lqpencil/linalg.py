@@ -99,8 +99,7 @@ def _fix_signs(B):
 def rank_of(M, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Numerical rank via SVD with the policy's relative cutoff.
 
-    Accepts real or complex matrices (rank probes of matrix pencils
-    evaluate at complex points).
+    Accepts real or complex matrices.
     """
     A = _as_matrix(M)
     if 0 in A.shape:

@@ -221,13 +221,24 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     reachable : bool
         Whether the required endpoint displacement lies in im R1, by
         the feasibility rule of :func:`solve_affine`.
+
+    Raises
+    ------
+    DecompositionError
+        If the steering rows (see :func:`_steering_stacks`) or the
+        required endpoint displacement, or its norm, are not finite.
     """
     R1, R2 = _steering_stacks(dec, horizon)
     x1_0 = _as_vector(x1_0, "x1_0")
     x1_T = _as_vector(x1_T, "x1_T")
     xi = np.asarray(xi_seq, dtype=float).reshape(horizon, dec.r)
-    target = x1_T - np.linalg.matrix_power(dec.A_X11, horizon) @ x1_0 \
-        - R2 @ xi[::-1].reshape(-1)
+    # An overflow is reported below, as a non-finite steering target.
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = x1_T - np.linalg.matrix_power(dec.A_X11, horizon) @ x1_0 \
+            - R2 @ xi[::-1].reshape(-1)
+        target_norm = np.linalg.norm(target)
+    if not np.isfinite(target_norm):
+        raise DecompositionError("steering target is not finite")
     u_stack, reachable = solve_affine(R1, target, pol)
     return u_stack, R1, reachable
 
@@ -397,9 +408,10 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
     Raises
     ------
     DecompositionError
-        The endpoint gramian or the steering rows are not finite (the
-        powers of A_X22 or A_X11 overflow), the gramian fails its Stein
-        identity, or the reconstructed x1(T) misses its target.
+        The endpoint gramian, the steering rows or the steering target
+        are not finite (the powers of A_X22 or A_X11 overflow), the
+        gramian fails its Stein identity, or the reconstructed x1(T)
+        misses its target.
     InfeasibleProblemError
         The boundary system has no solution (no optimum exists).
     HorizonTooShortError

@@ -17,9 +17,11 @@ which the complete eigenstructure can be read off:
   of the nonzero ones;
 * the multiplicities at infinity are those of the eigenvalue 0 of an
   explicit square matrix built from the same blocks;
-* the normal rank is 2n + m1.
+* the normal rank is 2n + m1, m1 the rank of R_X.
 
-All of this is independent of which CGDARE solution X is used.
+:func:`generalized_spectrum` reads every figure off these blocks; no
+evaluation of N - z M is involved.  All of this is independent of which
+CGDARE solution X is used.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .linalg import (
 )
 from .model import PopovTriple
 from .riccati import InputSplit, RiccatiCertificate, split_inputs
-
-DEFAULT_SEED = 1729
 
 
 class DecompositionError(RuntimeError):
@@ -130,8 +130,14 @@ def riccati_congruence(cert: RiccatiCertificate,
     Raises
     ------
     DecompositionError
-        If the residual exceeds that bound at either probe point.
+        If the residual exceeds that bound at z = 0 or z = 1.
     """
+    return _verified_congruence(cert, build_esp(cert.sigma), pol)
+
+
+def _verified_congruence(cert: RiccatiCertificate, esp: Pencil,
+                         pol: TolerancePolicy):
+    """:func:`riccati_congruence` on ``esp``, the pencil of cert.sigma."""
     sigma = cert.sigma
     n, m = sigma.n, sigma.m
     X, K_X, A_X = cert.X, cert.K_X, cert.A_X
@@ -144,7 +150,6 @@ def riccati_congruence(cert: RiccatiCertificate,
     V_X[n:2 * n, n:2 * n] = -np.eye(n)
     V_X[2 * n:, :n] = -K_X
 
-    esp = build_esp(sigma)
     scale = 1.0 + sum(np.max(np.abs(W), initial=0.0) for W in (esp.N, esp.M, X))
     for z in (0.0, 1.0):
         residual = np.linalg.norm(U_X @ esp.at(z) @ V_X - _triangular_rhs(cert, z))
@@ -296,8 +301,8 @@ def canonical_form(dec: PencilDecomposition,
         If the certificate's congruence fails its check (see
         :func:`riccati_congruence`).
     """
-    U_X, V_X = riccati_congruence(dec.cert, pol)
     esp = build_esp(dec.cert.sigma)
+    U_X, V_X = _verified_congruence(dec.cert, esp, pol)
     n, m = dec.n, dec.m1 + dec.m2
     L = np.zeros((2 * n + m, 2 * n + m))
     L[:n, :n] = dec.U
@@ -316,46 +321,12 @@ def canonical_form(dec: PencilDecomposition,
     return Pencil(transform(esp.N), transform(esp.M))
 
 
-def probe_ranks(p: Pencil, pol: TolerancePolicy = DEFAULT_POLICY,
-                seed: int = DEFAULT_SEED, avoid=()) -> tuple:
-    """Rank of N - zM at ``size + 1`` distinct seeded points on |z| = 2.
-
-    The set of z where the rank drops below the normal rank has at most
-    ``size`` elements, so the maximum over the samples attains the
-    normal rank.  Points within eig_match_tol of entries of `avoid`
-    (known eigenvalues) are re-drawn.  Returns ((z, rank), ...).
-    """
-    rng = np.random.default_rng(seed)
-    need = p.size + 1
-    points = []
-    attempts = 0
-    while len(points) < need and attempts < 100 * need + 100:
-        attempts += 1
-        z = 2.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        if any(abs(z - a) <= pol.eig_match_tol for a in avoid):
-            continue
-        if any(abs(z - w) <= pol.eig_match_tol for w in points):
-            continue
-        points.append(z)
-    return tuple((z, rank_of(p.at(z), pol)) for z in points)
-
-
-def normal_rank(p: Pencil, pol: TolerancePolicy = DEFAULT_POLICY,
-                seed: int = DEFAULT_SEED, avoid=()) -> int:
-    """Normal rank of the pencil: max rank of N - zM over z, attained
-    by deterministic seeded sampling (see :func:`probe_ranks`)."""
-    probes = probe_ranks(p, pol, seed=seed, avoid=avoid)
-    return max((rk for _, rk in probes), default=0)
-
-
 @dataclass(frozen=True)
 class FiniteEigenvalue:
-    """One finite generalized eigenvalue with algebraic multiplicity and
-    the pencil rank observed at it (strictly below the normal rank)."""
+    """One finite generalized eigenvalue with its algebraic multiplicity."""
 
     value: complex
     multiplicity: int
-    rank_at_value: int
 
 
 @dataclass(frozen=True)
@@ -363,6 +334,7 @@ class PencilSpectrum:
     """Complete generalized eigenstructure of the extended symplectic
     pencil, derived from the canonical blocks.
 
+    ``normal_rank`` is 2n + m1, from the sizes of the blocks.
     ``infinite_algebraic``/``infinite_geometric`` are the multiplicities
     of the eigenvalue 0 of the matrix
 
@@ -376,7 +348,6 @@ class PencilSpectrum:
     finite_eigenvalues: tuple
     infinite_algebraic: int
     infinite_geometric: int
-    probes: tuple
 
 
 def _cluster(values, tol):
@@ -414,30 +385,26 @@ def _zero_multiplicities(A, pol):
 
 
 def generalized_spectrum(dec: PencilDecomposition,
-                         pol: TolerancePolicy = DEFAULT_POLICY,
-                         seed: int = DEFAULT_SEED) -> PencilSpectrum:
-    """Finite and infinite generalized eigenstructure of the pencil.
+                         pol: TolerancePolicy = DEFAULT_POLICY) -> PencilSpectrum:
+    """Finite and infinite generalized eigenstructure of the pencil,
+    read off the blocks of the decomposition.
 
-    Finite eigenvalues are the eigenvalues of A_X22 together with the
-    reciprocals of its nonzero eigenvalues (clustered within
-    eig_match_tol, multiplicities added); each is cross-checked by a
-    rank probe of N - zM at the eigenvalue.  Eigenvalues of modulus at
-    most eig_match_tol are treated as zero (no reciprocal).
+    The normal rank is 2n + m1.  Finite eigenvalues are the eigenvalues
+    of A_X22 together with the reciprocals of its nonzero eigenvalues
+    (clustered within eig_match_tol, multiplicities added); eigenvalues
+    of modulus at most eig_match_tol are treated as zero (no
+    reciprocal).  The structure at infinity is that of the eigenvalue 0
+    of P_inf (see :class:`PencilSpectrum`).  No figure is measured on
+    N - z M itself: each rests on the checks the blocks have passed,
+    those of the certificate and of :func:`reachability_decomposition`.
     """
     A22 = dec.A_X22
     eigs = list(np.linalg.eigvals(A22)) if A22.size else []
     candidates = list(eigs)
     candidates += [1.0 / z for z in eigs if abs(z) > pol.eig_match_tol]
-    clusters = _cluster(candidates, pol.eig_match_tol)
-
-    esp = build_esp(dec.cert.sigma)
-    probes = probe_ranks(esp, pol, seed=seed, avoid=[c[0] for c in clusters])
-    nr = max((rk for _, rk in probes), default=0)
-
     finite = tuple(
-        FiniteEigenvalue(value=complex(c[0]), multiplicity=int(c[1]),
-                         rank_at_value=rank_of(esp.at(c[0]), pol))
-        for c in clusters)
+        FiniteEigenvalue(value=complex(c[0]), multiplicity=int(c[1]))
+        for c in _cluster(candidates, pol.eig_match_tol))
 
     d = A22.shape[0]
     m1 = dec.m1
@@ -448,11 +415,10 @@ def generalized_spectrum(dec: PencilDecomposition,
     inf_alg, inf_geo = _zero_multiplicities(P_inf, pol)
 
     return PencilSpectrum(
-        normal_rank=int(nr),
+        normal_rank=2 * dec.n + m1,
         finite_eigenvalues=finite,
         infinite_algebraic=int(inf_alg),
         infinite_geometric=int(inf_geo),
-        probes=probes,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from lqpencil import BoundarySpec, LqProblem, PopovTriple, TolerancePolicy, certify
 from lqpencil.fixtures import cyclic_problem, singular_riccati_solution, singular_triple
+from lqpencil.linalg import rank_of
 from lqpencil.lqsolve import _split_chi, _sweep, _trajectories, control_free_param
 from lqpencil.pencil import reachability_decomposition
 from lqpencil.riccati import split_inputs
@@ -90,3 +91,14 @@ def rebuild_trajectories(problem, dec, chi, free_shift=0.0):
     u_free, _, _ = control_free_param(dec, problem.horizon, x1_0, x1_T,
                                       swept[3])
     return _trajectories(dec, x1_0, swept, u_free + free_shift)
+
+
+def measured_normal_rank(p):
+    """Normal rank of the pencil N - zM measured on the pencil itself:
+    the largest rank of N - zM over the ``size + 1`` distinct points
+    z_k = 2 exp(2 pi i (k + 1/2) / (size + 1)).  The rank drops below
+    the normal rank at no more than ``size`` values of z, so one of the
+    points attains it."""
+    k = np.arange(p.size + 1)
+    points = 2.0 * np.exp(2j * np.pi * (k + 0.5) / (p.size + 1))
+    return max(rank_of(p.at(z)) for z in points)

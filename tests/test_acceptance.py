@@ -43,7 +43,7 @@ from lqpencil.fixtures import (
     singular_riccati_solution,
     singular_triple,
 )
-from lqpencil.linalg import kernel_basis
+from lqpencil.linalg import kernel_basis, rank_of
 from lqpencil.lqsolve import (
     endpoint_gramian,
     solve_with_decomposition,
@@ -59,6 +59,7 @@ from lqpencil.riccati import split_inputs
 
 from conftest import (
     attach_random_boundary,
+    measured_normal_rank,
     random_regular_problem,
     random_singular_triple,
     rebuild_trajectories,
@@ -180,10 +181,13 @@ def test_criterion2_pencil_structure(sing_cert):
     t_best = min(_timed(analyze) for _ in range(5))
     dec, spec = analyze()
 
+    esp = build_esp(sing_cert.sigma)
     if spec.normal_rank != 5:
         problems.append(f"normal rank {spec.normal_rank} != 5")
     if spec.normal_rank != 2 * 2 + dec.m1:
         problems.append("normal rank != 2n + m1")
+    if spec.normal_rank != measured_normal_rank(esp):
+        problems.append("normal rank differs from the pencil's measured one")
     if len(spec.finite_eigenvalues) != 1:
         problems.append(f"finite spectrum {spec.finite_eigenvalues}")
     else:
@@ -192,8 +196,9 @@ def test_criterion2_pencil_structure(sing_cert):
             problems.append(f"finite eigenvalue {ev.value} not at 0")
         if ev.multiplicity != 1:
             problems.append(f"multiplicity {ev.multiplicity} != 1")
-        if ev.rank_at_value != 4:
-            problems.append(f"rank at eigenvalue {ev.rank_at_value} != 4")
+        rank_at_value = rank_of(esp.at(ev.value))
+        if rank_at_value != 4:
+            problems.append(f"rank at eigenvalue {rank_at_value} != 4")
     if (spec.infinite_algebraic, spec.infinite_geometric) != (2, 1):
         problems.append(
             f"infinite structure ({spec.infinite_algebraic}, "
@@ -488,9 +493,12 @@ def test_criterion6_structural_invariants():
         if spec.normal_rank != 2 * n + dec.m1:
             problems.append(f"instance {k}: normal rank "
                             f"{spec.normal_rank} != 2n + m1")
+        if spec.normal_rank != measured_normal_rank(p):
+            problems.append(f"instance {k}: normal rank differs from the "
+                            f"pencil's measured one")
         vals = [ev.value for ev in spec.finite_eigenvalues]
         for ev in spec.finite_eigenvalues:
-            if ev.rank_at_value >= spec.normal_rank:
+            if rank_of(p.at(ev.value)) >= spec.normal_rank:
                 problems.append(f"instance {k}: no rank drop at "
                                 f"{ev.value}")
             if abs(ev.value) <= 1e-8:
@@ -627,18 +635,18 @@ def _pipeline_fingerprint():
     blob = b"".join([cert.X.tobytes(), dec.U.tobytes(), sol.chi.tobytes(),
                      sol.x.tobytes(), sol.u.tobytes(),
                      sol.costate.tobytes()])
-    return blob, spec.probes, spec.finite_eigenvalues
+    return blob, spec.finite_eigenvalues
 
 
 def test_criterion8_determinism(tmp_path, capsys):
     """Identical inputs produce byte-identical results, library and CLI."""
     problems = []
 
-    blob_a, probes_a, finite_a = _pipeline_fingerprint()
-    blob_b, probes_b, finite_b = _pipeline_fingerprint()
+    blob_a, finite_a = _pipeline_fingerprint()
+    blob_b, finite_b = _pipeline_fingerprint()
     if blob_a != blob_b:
         problems.append("library pipeline arrays differ between runs")
-    if probes_a != probes_b or finite_a != finite_b:
+    if finite_a != finite_b:
         problems.append("spectrum reports differ between runs")
 
     rng_a = np.random.default_rng(999)

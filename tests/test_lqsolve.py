@@ -3,6 +3,7 @@ solver, and stationarity verification."""
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -216,16 +217,21 @@ def test_endpoint_gramian_overflow_is_decomposition_error():
         solve_problem(problem, iterate_grde(triple))
 
 
-@pytest.mark.filterwarnings("error")
 def test_steering_stack_overflow_is_decomposition_error():
-    # A = 3, B = 1 and T = 1000: the powers of A_X11 = 3 in the steering
-    # rows overflow
+    # A = 3, B = 1: the powers of A_X11 = 3 overflow, in the steering rows
+    # from T = 1000 (3^999), in A_X11^T from T = 647, and in the norm of
+    # the steering target from T = 324 (3^324 squared)
     triple = PopovTriple([[3.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
     bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
                       np.eye(2), np.ones(1), np.ones(1))
-    problem = LqProblem(triple, 1000, bd)
-    with pytest.raises(DecompositionError, match="steering rows are not finite"):
-        solve_problem(problem, iterate_grde(triple))
+    for T, error in ((324, "steering target is not finite"),
+                     (646, "steering target is not finite"),
+                     (647, "steering target is not finite"),
+                     (1000, "steering rows are not finite")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecompositionError, match=error):
+                solve_problem(LqProblem(triple, T, bd), iterate_grde(triple))
 
 
 def test_trajectory_param_stacks(sing_dec):

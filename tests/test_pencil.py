@@ -17,19 +17,16 @@ from lqpencil import (
 )
 from lqpencil.linalg import rank_of
 from lqpencil.pencil import (
-    Pencil,
     PencilDecomposition,
     build_esp,
     canonical_form,
     generalized_spectrum,
-    normal_rank,
-    probe_ranks,
     reachability_decomposition,
     riccati_congruence,
 )
 from lqpencil.riccati import InputSplit, split_inputs
 
-from conftest import random_singular_triple
+from conftest import measured_normal_rank, random_singular_triple
 
 
 def esp_blocks(dec, z):
@@ -66,7 +63,7 @@ def infinite_structure(p):
     index (size - normal rank of them) plus one per Jordan block at
     mu = 0 (z = infinity) of size >= k.
     """
-    right = p.size - normal_rank(p)
+    right = p.size - measured_normal_rank(p)
     blocks, kernel_prev = [], 0
     for k in range(1, p.size + 1):
         W = np.kron(np.eye(k), p.M) - np.kron(np.eye(k, k=-1), p.N)
@@ -92,11 +89,21 @@ def test_build_esp_scalar_layout():
     np.testing.assert_array_equal(p.at(2.0), p.N - 2.0 * p.M)
 
 
-def test_esp_rank_running_example(sing_triple):
-    p = build_esp(sing_triple)
+def assert_rank_structure(spec, esp):
+    """The spectrum's normal rank is the one measured on the pencil, and
+    the pencil's rank drops at every reported finite eigenvalue."""
+    assert spec.normal_rank == measured_normal_rank(esp)
+    for ev in spec.finite_eigenvalues:
+        assert rank_of(esp.at(ev.value)) < spec.normal_rank
+
+
+def test_esp_rank_running_example(sing_dec):
+    p = build_esp(sing_dec.cert.sigma)
     assert p.size == 6
     assert rank_of(p.at(1.0)) == 5
-    assert normal_rank(p) == 5
+    spec = generalized_spectrum(sing_dec)
+    assert spec.normal_rank == 5
+    assert_rank_structure(spec, p)
 
 
 def test_congruence_matches_hand_display(sing_cert):
@@ -291,33 +298,6 @@ def test_canonical_form_empty_blocks():
     assert cases == [(0, m, 0), (n, 0, m)]
 
 
-def test_probe_ranks_deterministic(sing_triple):
-    p = build_esp(sing_triple)
-    a = probe_ranks(p)
-    b = probe_ranks(p)
-    assert a == b
-    assert len(a) == p.size + 1
-    assert all(rk == 5 for _, rk in a)
-    c = probe_ranks(p, seed=7)
-    assert c != a
-    assert max(rk for _, rk in c) == 5
-
-
-def test_probe_ranks_avoid_list(sing_triple):
-    p = build_esp(sing_triple)
-    first = probe_ranks(p)
-    taboo = [z for z, _ in first]
-    second = probe_ranks(p, avoid=taboo)
-    assert all(min(abs(z - w) for w in taboo) > 1e-3 for z, _ in second)
-
-
-def test_normal_rank_examples(sing_triple):
-    assert normal_rank(build_esp(sing_triple)) == 5
-    sigma = PopovTriple([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
-    assert normal_rank(build_esp(sigma)) == 3
-    assert normal_rank(Pencil(np.zeros((2, 2)), np.zeros((2, 2)))) == 0
-
-
 def test_spectrum_running_example(sing_dec):
     spec = generalized_spectrum(sing_dec)
     assert spec.normal_rank == 5
@@ -325,11 +305,11 @@ def test_spectrum_running_example(sing_dec):
     ev = spec.finite_eigenvalues[0]
     assert abs(ev.value) <= 1e-9
     assert ev.multiplicity == 1
-    assert ev.rank_at_value == 4
     assert (spec.infinite_algebraic, spec.infinite_geometric) == (2, 1)
     esp = build_esp(sing_dec.cert.sigma)
+    assert rank_of(esp.at(ev.value)) == 4
     assert infinite_structure(esp) == (2, 1)
-    assert len(spec.probes) == 7
+    assert_rank_structure(spec, esp)
     # z = 1 is not an eigenvalue: full normal rank there
     assert rank_of(esp.at(1.0)) == spec.normal_rank
 
@@ -347,7 +327,9 @@ def test_spectrum_regular_reciprocal_pairs():
     # regular pencil: m1 = 2 infinite eigenvalues, in two 1 x 1 blocks
     assert spec.infinite_algebraic == 2
     assert spec.infinite_geometric == 2
-    assert infinite_structure(build_esp(dec.cert.sigma)) == (2, 2)
+    esp = build_esp(dec.cert.sigma)
+    assert infinite_structure(esp) == (2, 2)
+    assert_rank_structure(spec, esp)
 
 
 def test_spectrum_invariants_random_singular():
@@ -361,14 +343,14 @@ def test_spectrum_invariants_random_singular():
             continue
         dec = reachability_decomposition(cert, split_inputs(cert))
         spec = generalized_spectrum(dec)
+        esp = build_esp(dec.cert.sigma)
         assert spec.normal_rank == 2 * sigma.n + dec.m1
-        assert infinite_structure(build_esp(dec.cert.sigma)) == (
+        assert_rank_structure(spec, esp)
+        assert infinite_structure(esp) == (
             spec.infinite_algebraic, spec.infinite_geometric)
         vals = [ev.value for ev in spec.finite_eigenvalues]
         mults = [ev.multiplicity for ev in spec.finite_eigenvalues]
         for ev in spec.finite_eigenvalues:
-            # each finite eigenvalue is an actual rank drop
-            assert ev.rank_at_value < spec.normal_rank
             if abs(ev.value) <= 1e-8:
                 continue
             recip = 1.0 / ev.value
