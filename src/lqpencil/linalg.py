@@ -1,17 +1,19 @@
 """Rank-revealing linear algebra with a single shared tolerance policy.
 
 Every rank decision in this package (pseudo-inverses, kernel and image
-bases, feasibility of affine systems) goes through the routines in this
-module so that one `TolerancePolicy` controls them all.  Rank cutoffs
-follow the usual SVD convention::
+bases, the split of a space into a column space and its orthogonal
+complement, feasibility of affine systems) goes through the routines in
+this module so that one `TolerancePolicy` controls them all.  Rank
+cutoffs follow the usual SVD convention::
 
     cutoff = rank_rel_tol * max(rows, cols) * sigma_max
 
-Orthonormal bases returned by :func:`kernel_basis` and :func:`image_basis`
-are made deterministic by a sign convention: each basis column is flipped
-so that its entry of largest magnitude (first such entry on ties) is
-positive.  Repeated calls on identical input therefore produce identical
-output, which the reporting layer relies on.
+Orthonormal bases returned by :func:`kernel_basis`, :func:`image_basis`
+and :func:`orthogonal_split` are made deterministic by a sign
+convention: each basis column is flipped so that its entry of largest
+magnitude (first such entry on ties) is positive.  Repeated calls on
+identical input therefore produce identical output, which the reporting
+layer relies on.
 """
 
 from __future__ import annotations
@@ -140,28 +142,28 @@ def kernel_basis(M, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     return _fix_signs(Vt[r:].T)
 
 
+def orthogonal_split(M, pol: TolerancePolicy = DEFAULT_POLICY):
+    """Orthonormal bases of the column space of M and of its orthogonal
+    complement, from one full SVD, deterministic signs.
+
+    Returns ``(image, complement)`` of shapes ``(rows, r)`` and
+    ``(rows, rows - r)`` with ``r == rank_of(M)``; ``[image complement]``
+    is orthogonal.
+    """
+    A = _as_matrix(M)
+    if 0 in A.shape:
+        return np.zeros((A.shape[0], 0)), np.eye(A.shape[0])
+    U, s, _ = np.linalg.svd(A)
+    r = int(np.sum(s > _svd_cutoff(s, A.shape, pol)))
+    return _fix_signs(U[:, :r]), _fix_signs(U[:, r:])
+
+
 def image_basis(M, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of the column space, deterministic signs.
 
     Returns an ``(rows, r)`` array with ``r == rank_of(M)``.
     """
-    A = _as_matrix(M)
-    if 0 in A.shape:
-        return np.zeros((A.shape[0], 0))
-    U, s, _ = np.linalg.svd(A)
-    cutoff = _svd_cutoff(s, A.shape, pol)
-    r = int(np.sum(s > cutoff))
-    return _fix_signs(U[:, :r])
-
-
-def orthonormal_complement(B, dim: int, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``im B`` in R^dim."""
-    A = _as_matrix(B)
-    if A.shape[0] != dim:
-        raise DimensionMismatchError("basis rows do not match ambient dimension")
-    if A.shape[1] == 0:
-        return np.eye(dim)
-    return kernel_basis(A.T, pol)
+    return orthogonal_split(M, pol)[0]
 
 
 def solve_affine(F, g, pol: TolerancePolicy = DEFAULT_POLICY):

@@ -346,21 +346,18 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
         return float(np.max(np.linalg.norm(res, axis=1), initial=0.0))
 
     dyn = worst_row(xs[1:] - xs[:-1] @ tr.A.T - us @ tr.B.T)
-    con = np.linalg.norm(bd.V0 @ xs[0] + bd.VT @ xs[T_h] - bd.v) if bd.q else 0.0
+    con = np.linalg.norm(bd.V0 @ xs[0] + bd.VT @ xs[T_h] - bd.v)
     cos = worst_row(lams[:-1] - xs[:-1] @ tr.Q.T - lams[1:] @ tr.A
                     - us @ tr.S.T)
     inp = worst_row(xs[:-1] @ tr.S + lams[1:] @ tr.B + us @ tr.R.T)
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
-    if bd.q:
-        eta, *_ = np.linalg.lstsq(bd.V.T, rhs, rcond=None)
-        tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
-    else:
-        eta = np.zeros(0)
-        tv = float(np.linalg.norm(rhs))
+    # With q = 0, V' has no columns: eta is empty and tv is |rhs|.
+    eta, *_ = np.linalg.lstsq(bd.V.T, rhs, rcond=None)
+    tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
     data_scale = 1.0 + max(matrix_norm(tr.A), matrix_norm(tr.B),
                            matrix_norm(tr.pi), matrix_norm(bd.H),
-                           matrix_norm(bd.V) if bd.q else 0.0)
+                           matrix_norm(bd.V))
     traj_scale = 1.0 + max(np.max(np.abs(xs)), np.max(np.abs(lams)),
                            np.max(np.abs(us)) if us.size else 0.0)
     scale = data_scale * traj_scale

@@ -278,7 +278,8 @@ def simulate(triple: PopovTriple, x0, us) -> np.ndarray:
 
 # --- JSON problem files -------------------------------------------------
 #
-# Schema (row-major nested lists):
+# Schema (row-major nested lists; a flat row-major list, or a bare number
+# for a 1 x 1 matrix, is accepted in place of a nested list):
 #   {"n": int, "m": int, "q": int, "T": int,
 #    "A": [[..]], "B": [[..]], "Q": [[..]], "S": [[..]], "R": [[..]],
 #    "V0": [[..]], "VT": [[..]], "v": [..],        (omitted when q = 0)
@@ -296,7 +297,9 @@ def _get_matrix(doc, key, shape):
         M = np.array(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"field {key!r} is not numeric") from exc
-    M = M.reshape(shape) if M.size == int(np.prod(shape)) else M
+    # Reshape only a scalar or a flat list, never reorder a nested one.
+    if M.ndim < 2 and M.size == int(np.prod(shape)):
+        M = M.reshape(shape)
     if M.shape != shape:
         raise ProblemFormatError(
             f"field {key!r} has shape {M.shape}, expected {shape}")

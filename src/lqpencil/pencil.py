@@ -34,10 +34,9 @@ from .linalg import (
     DEFAULT_POLICY,
     DimensionMismatchError,
     TolerancePolicy,
-    image_basis,
     kernel_basis,
     matrix_norm,
-    orthonormal_complement,
+    orthogonal_split,
     rank_of,
     subspace_distance,
 )
@@ -200,59 +199,50 @@ class PencilDecomposition:
         return self.split.m2
 
 
-def _reachable_basis(A, B, pol) -> np.ndarray:
-    """Orthonormal basis of the reachable subspace of (A, B)."""
-    n = A.shape[0]
-    if B.shape[1] == 0:
-        return np.zeros((n, 0))
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return image_basis(np.hstack(blocks), pol)
+def _reachable_staging(A, B, pol):
+    """Stage the reachable subspace of (A, B) in one Krylov pass.
 
+    Grows the stack [B, AB, A^2 B, ...] one block at a time and stops
+    when its rank does not rise, reaches dim A, or the stack holds
+    dim A blocks.  One SVD of that last stack splits R^n into the
+    reachable subspace (orthonormal basis U1, r = its dimension) and its
+    orthogonal complement (U2).  The controllability index of the
+    reachable block is the fewest blocks whose stack has rank r.
 
-def _controllability_index(A, B, pol) -> int:
-    """Smallest k with rank [B, AB, ..., A^(k-1)B] equal to dim A.
-
-    Raises
-    ------
-    DecompositionError
-        If the rank of the prefixes stalls below dim A, i.e. the pair
-        is not reachable.
+    Returns (U1, U2, index).
     """
-    d = A.shape[0]
-    if d == 0:
-        return 0
-    blocks, prev = [B], 0
-    for k in range(1, d + 1):
-        rk = rank_of(np.hstack(blocks), pol)
-        if rk == d:
-            return k
-        if rk == prev:
-            break
-        prev = rk
-        blocks.append(A @ blocks[-1])
-    raise DecompositionError("(A_X11, B21) is not reachable")
+    n = A.shape[0]
+    stack, block, ranks = B, B, [0, rank_of(B, pol)]
+    while ranks[-2] < ranks[-1] < n and len(ranks) <= n:
+        block = A @ block
+        stack = np.hstack([stack, block])
+        ranks.append(rank_of(stack, pol))
+    U1, U2 = orthogonal_split(stack, pol)
+    r = U1.shape[1]
+    # r and ranks[-1] rank the same stack by SVDs with and without
+    # vectors, which may round apart; the whole stack has rank r.
+    index = next((k for k, rank in enumerate(ranks) if rank >= r),
+                 len(ranks) - 1)
+    return U1, U2, index
 
 
 def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
                                pol: TolerancePolicy = DEFAULT_POLICY) -> PencilDecomposition:
     """Stage the closed-loop pair (A_X, B2) into reachable/unreachable blocks.
 
+    The basis U and the controllability index come from one rank
+    sequence of the Krylov stack of (A_X, B2) (see
+    :func:`_reachable_staging`).
+
     Raises
     ------
     DecompositionError
         If the computed basis fails the invariance checks (the lower-left
-        block of U' A_X U or the lower block of U' B2 is not negligible),
-        or if (A_X11, B21) is not reachable: the ranks of the prefixes
-        of its Krylov stack, which give its controllability index,
-        stall below r.
+        block of U' A_X U or the lower block of U' B2 is not negligible).
     """
     A_X = cert.A_X
-    n = A_X.shape[0]
-    U1 = _reachable_basis(A_X, split.B2, pol)
+    U1, U2, index = _reachable_staging(A_X, split.B2, pol)
     r = U1.shape[1]
-    U2 = orthonormal_complement(U1, n, pol)
     U = np.hstack([U1, U2])
 
     At = U.T @ A_X @ U
@@ -264,13 +254,10 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
     if matrix_norm(Bt2[r:, :]) > pol.residual_tol * scale:
         raise DecompositionError("im B2 escapes the reachable subspace")
 
-    A11, A12, A22 = At[:r, :r], At[:r, r:], At[r:, r:]
-    B21 = Bt2[:r, :]
-    index = _controllability_index(A11, B21, pol)
     return PencilDecomposition(
         cert=cert, split=split, U=U, r=r, index=index,
-        A_X11=A11, A_X12=A12, A_X22=A22,
-        B11=Bt1[:r, :], B12=Bt1[r:, :], B21=B21)
+        A_X11=At[:r, :r], A_X12=At[:r, r:], A_X22=At[r:, r:],
+        B11=Bt1[:r, :], B12=Bt1[r:, :], B21=Bt2[:r, :])
 
 
 def canonical_form(dec: PencilDecomposition,

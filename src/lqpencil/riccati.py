@@ -202,12 +202,12 @@ def split_inputs(cert: RiccatiCertificate, pol: TolerancePolicy = DEFAULT_POLICY
                       B1=cert.sigma.B @ T1, B2=cert.sigma.B @ T2)
 
 
-def iterate_grde(sigma: PopovTriple, X0=None, max_iters: int = 5000,
+def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
                  pol: TolerancePolicy = DEFAULT_POLICY) -> RiccatiCertificate:
     """Run the Riccati difference iteration X <- A'XA - S_X R_X^+ S_X' + Q
     to a fixed point and certify the limit.
 
-    Starts from X0 (default 0).  Convergence is declared when the
+    Starts from X = 0.  Convergence is declared when the
     successive difference drops below ``residual_tol * (1 + ||X||) * 1e-3``
     (tighter than the certification threshold so the limit certifies).
 
@@ -220,8 +220,7 @@ def iterate_grde(sigma: PopovTriple, X0=None, max_iters: int = 5000,
     RiccatiKernelConditionError
         The limit solves the GDARE but violates ker R_X <= ker S_X.
     """
-    n = sigma.n
-    X = np.zeros((n, n)) if X0 is None else _check_candidate(sigma, X0, pol)
+    X = np.zeros((sigma.n, sigma.n))
     bound = 1e12 * (1.0 + matrix_norm(sigma.Q))
     tol_scale = 1e-3 * pol.residual_tol
     for _ in range(max_iters):

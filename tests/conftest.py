@@ -102,3 +102,19 @@ def measured_normal_rank(p):
     k = np.arange(p.size + 1)
     points = 2.0 * np.exp(2j * np.pi * (k + 0.5) / (p.size + 1))
     return max(rank_of(p.at(z)) for z in points)
+
+
+def three_input_document():
+    """Problem document with n = 2, m = 3, q = 0, so that B is 2 x 3."""
+    return {"n": 2, "m": 3, "q": 0, "T": 3, "A": np.eye(2).tolist(),
+            "B": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "Q": np.eye(2).tolist(),
+            "S": np.zeros((2, 3)).tolist(), "R": np.eye(3).tolist(),
+            "H": np.eye(4).tolist()}
+
+
+# Matrices of the right size in the wrong 2-D shape: B transposed, and
+# the 4 x 4 H written as 2 x 8.  Each must be rejected, not reshaped.
+WRONG_SHAPES = [
+    ("B", [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]], "(3, 2), expected (2, 3)"),
+    ("H", np.eye(4).reshape(2, 8).tolist(), "(2, 8), expected (4, 4)"),
+]

@@ -25,6 +25,8 @@ from lqpencil.cli import (
 )
 from lqpencil.fixtures import bundled_problem_path, cyclic_problem
 
+from conftest import WRONG_SHAPES, three_input_document
+
 
 @pytest.fixture(scope="module")
 def problem_path():
@@ -330,6 +332,19 @@ def test_bad_input_exit_codes(tmp_path, capsys):
                        str(bundled_problem_path()), "--riccati", str(bad_x)],
                       capsys)
     assert code == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("key, value, shapes", WRONG_SHAPES)
+def test_wrong_matrix_shape_is_bad_input(tmp_path, capsys, key, value, shapes):
+    doc = three_input_document()
+    doc[key] = value
+    path = tmp_path / "wrong_shape.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["solve", "--problem", str(path)], capsys)
+    assert code == EXIT_BAD_INPUT
+    doc_out = last_json(out)
+    assert doc_out["status"] == "bad-input"
+    assert f"field '{key}' has shape {shapes}" in doc_out["error"]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -9,7 +9,7 @@ from lqpencil.linalg import (
     image_basis,
     kernel_basis,
     matrix_norm,
-    orthonormal_complement,
+    orthogonal_split,
     pseudo_inverse,
     rank_of,
     solve_affine,
@@ -116,13 +116,15 @@ def test_kernel_image_dimensions_add_up():
             np.testing.assert_allclose(U @ (U.T @ M), M, atol=1e-10)
 
 
-def test_orthonormal_complement():
+def test_orthogonal_split():
     B = np.array([[1.0], [0.0], [0.0]])
-    C = orthonormal_complement(B, 3)
+    image, C = orthogonal_split(B)
+    assert image.tobytes() == image_basis(B).tobytes()
     assert C.shape == (3, 2)
     np.testing.assert_allclose(B.T @ C, 0.0, atol=1e-14)
     np.testing.assert_allclose(C.T @ C, np.eye(2), atol=1e-14)
-    full = orthonormal_complement(np.zeros((3, 0)), 3)
+    image, full = orthogonal_split(np.zeros((3, 0)))
+    assert image.shape == (3, 0)
     assert full.shape == (3, 3)
     np.testing.assert_allclose(full.T @ full, np.eye(3), atol=1e-14)
 

@@ -38,7 +38,7 @@ from lqpencil.lqsolve import (
 from lqpencil.model import evaluate_cost
 from lqpencil.pencil import (
     PencilDecomposition,
-    _controllability_index,
+    _reachable_staging,
     reachability_decomposition,
 )
 from lqpencil.riccati import InputSplit, split_inputs
@@ -94,11 +94,12 @@ def random_dec(rng, r, nr, m1, m2=1):
 
 def test_controllability_index(pol):
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert _controllability_index(A, np.array([[0.0], [1.0]]), pol) == 2
-    assert _controllability_index(np.eye(2), np.eye(2), pol) == 1
-    assert _controllability_index(np.zeros((0, 0)), np.zeros((0, 0)), pol) == 0
-    with pytest.raises(DecompositionError, match="not reachable"):
-        _controllability_index(np.eye(2), np.array([[1.0], [0.0]]), pol)
+    assert _reachable_staging(A, np.array([[0.0], [1.0]]), pol)[2] == 2
+    assert _reachable_staging(np.eye(2), np.eye(2), pol)[2] == 1
+    assert _reachable_staging(np.zeros((0, 0)), np.zeros((0, 0)), pol)[2] == 0
+    # e1 alone reaches only its own line under A = I
+    U1, _, index = _reachable_staging(np.eye(2), np.array([[1.0], [0.0]]), pol)
+    assert (U1.shape[1], index) == (1, 1)
 
 
 def test_costate_powers():

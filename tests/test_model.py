@@ -2,6 +2,7 @@
 the JSON problem format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from lqpencil.model import (
     problem_to_dict,
     simulate,
 )
+
+from conftest import WRONG_SHAPES, three_input_document
 
 
 def test_triple_dimensions(sing_triple):
@@ -244,6 +247,25 @@ def test_malformed_documents_rejected(cyclic, tmp_path):
     path.write_text("{not json")
     with pytest.raises(ProblemFormatError):
         load_problem(path)
+
+
+@pytest.mark.parametrize("key, value, shapes", WRONG_SHAPES)
+def test_wrong_matrix_shape_rejected(key, value, shapes):
+    doc = three_input_document()
+    doc[key] = value
+    with pytest.raises(ProblemFormatError,
+                       match=re.escape(f"field '{key}' has shape {shapes}")):
+        problem_from_dict(doc)
+
+
+def test_flat_and_scalar_matrices_accepted():
+    doc = three_input_document()
+    doc["B"] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    np.testing.assert_array_equal(problem_from_dict(doc).triple.B,
+                                  [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    scalar = {"n": 1, "m": 1, "q": 0, "T": 2, "A": 2.0, "B": 1.0, "Q": 1.0,
+              "S": 0.0, "R": 1.0, "H": np.eye(2).tolist()}
+    assert problem_from_dict(scalar).triple.A.tolist() == [[2.0]]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -15,9 +15,15 @@ from lqpencil import (
     certify,
     iterate_grde,
 )
-from lqpencil.linalg import rank_of
+from lqpencil.linalg import (
+    image_basis,
+    kernel_basis,
+    rank_of,
+    subspace_distance,
+)
 from lqpencil.pencil import (
     PencilDecomposition,
+    _reachable_staging,
     build_esp,
     canonical_form,
     generalized_spectrum,
@@ -211,6 +217,54 @@ def test_reachability_decomposition_regular_case():
     assert dec.r == 0 and dec.m2 == 0
     assert dec.B21.shape == (0, 0)
     np.testing.assert_allclose(dec.U.T @ cert.A_X @ dec.U, dec.A_X22)
+
+
+def staging_by_separate_rules(A, B, pol):
+    """(U1, U2, index) by three separate rules: the image of the n-block
+    Krylov stack of (A, B), the kernel of U1', and the prefix ranks of
+    the Krylov stack of (U1'AU1, U1'B)."""
+    n = A.shape[0]
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(A @ blocks[-1])
+    U1 = image_basis(np.hstack(blocks), pol)
+    r = U1.shape[1]
+    A11, blocks = U1.T @ A @ U1, [U1.T @ B]
+    for _ in range(r - 1):
+        blocks.append(A11 @ blocks[-1])
+    ranks = [rank_of(np.hstack(blocks[:k]), pol) for k in range(1, r + 1)]
+    return U1, kernel_basis(U1.T, pol), ranks.index(r) + 1 if r else 0
+
+
+def staging_pairs(rng):
+    """Seeded (A, B) pairs for n = 1..8, m = 0..3: B = 0, a generic
+    reachable pair, a shift chain of index n, and a block-triangular
+    pair with an unreachable part, each in a random orthogonal basis."""
+    for n in range(1, 9):
+        for m in range(4):
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            yield np.diag(rng.uniform(-1.5, 1.5, n)), np.zeros((n, m))
+            yield rng.normal(size=(n, n)) / np.sqrt(n), rng.normal(size=(n, m))
+            e1 = np.zeros((n, m))
+            e1[0, :1] = 1.0
+            yield Q @ np.eye(n, k=-1) @ Q.T, Q @ e1
+            k = int(rng.integers(1, n)) if n > 1 else 1
+            A = rng.normal(size=(n, n)) / np.sqrt(n)
+            A[k:, :k] = 0.0
+            B = rng.normal(size=(n, m))
+            B[k:] = 0.0
+            yield Q @ A @ Q.T, Q @ B
+
+
+def test_reachable_staging_matches_separate_rules(pol):
+    rng = np.random.default_rng(13)
+    for A, B in staging_pairs(rng):
+        U1, U2, index = _reachable_staging(A, B, pol)
+        W1, _, old_index = staging_by_separate_rules(A, B, pol)
+        assert (U1.shape[1], index) == (W1.shape[1], old_index)
+        assert subspace_distance(U1, W1) <= 1e-10
+        U = np.hstack([U1, U2])
+        np.testing.assert_allclose(U.T @ U, np.eye(len(A)), atol=1e-12)
 
 
 def test_canonical_form_equals_block_assembly(sing_dec):

@@ -142,11 +142,6 @@ def test_iterate_iteration_budget():
         iterate_grde(scalar_triple(2.0, 1.0), max_iters=2)
 
 
-def test_iterate_respects_start(sing_triple):
-    cert = iterate_grde(sing_triple, X0=np.diag([0.0, 1.0]))
-    np.testing.assert_allclose(cert.X, np.diag([0.0, 1.0]), atol=1e-14)
-
-
 def _spectral_norm_iteration(tr, max_iters):
     """The iteration with every test on spectral norms; returns the
     limit and the number of updates, or None when it diverges or runs
