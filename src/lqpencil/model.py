@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,10 +103,13 @@ class PopovTriple:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @property
+    @cached_property
     def pi(self) -> np.ndarray:
-        """The assembled (n+m) x (n+m) stage-cost matrix."""
-        return np.block([[self.Q, self.S], [self.S.T, self.R]])
+        """The assembled (n+m) x (n+m) stage-cost matrix, read-only,
+        assembled on first use."""
+        pi = np.block([[self.Q, self.S], [self.S.T, self.R]])
+        pi.setflags(write=False)
+        return pi
 
 
 @dataclass(frozen=True)

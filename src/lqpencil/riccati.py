@@ -13,6 +13,11 @@ Derived from a solution X are the closed-loop quantities
 
 G_X being the orthogonal projector onto ker R_X.  These drive the
 pencil decomposition and the trajectory parameterization downstream.
+
+A solution is found by iterating the update X <- A'XA - S_X R_X^+ S_X' + Q
+from X = 0.  When R is nonsingular, structure-preserving doubling
+reaches the update's iterate X_(2^k) in k steps; when R is singular,
+the update runs one step at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .linalg import (
     kernel_basis,
     matrix_norm,
     pseudo_inverse,
+    rank_of,
 )
 from .model import PopovTriple, factor_cost
 
@@ -48,7 +54,8 @@ class NotRiccatiSolutionError(ValueError):
 
 
 class RiccatiIterationError(RuntimeError):
-    """Base class for fixed-point iteration failures."""
+    """Base class for Riccati iteration failures; raised itself when a
+    doubling step is singular."""
 
 
 class RiccatiDivergenceError(RiccatiIterationError):
@@ -74,13 +81,11 @@ def _check_candidate(sigma: PopovTriple, X, pol) -> np.ndarray:
 
 
 def _derived(sigma: PopovTriple, X, pol):
+    """S_X, R_X (symmetrised) and R_X^+: what one Riccati update reads."""
     S_X = sigma.A.T @ X @ sigma.B + sigma.S
     R_X = sigma.R + sigma.B.T @ X @ sigma.B
     R_X = 0.5 * (R_X + R_X.T)
-    Rp = pseudo_inverse(R_X, pol)
-    K_X = Rp @ S_X.T
-    G_X = np.eye(sigma.m) - Rp @ R_X
-    return S_X, R_X, Rp, K_X, G_X
+    return S_X, R_X, pseudo_inverse(R_X, pol)
 
 
 def _evaluate(sigma: PopovTriple, X, pol):
@@ -91,7 +96,9 @@ def _evaluate(sigma: PopovTriple, X, pol):
     the violation ||S_X G_X||, which is zero iff ker R_X <= ker S_X.
     """
     X = _check_candidate(sigma, X, pol)
-    S_X, R_X, Rp, K_X, G_X = _derived(sigma, X, pol)
+    S_X, R_X, Rp = _derived(sigma, X, pol)
+    K_X = Rp @ S_X.T
+    G_X = np.eye(sigma.m) - Rp @ R_X
     residual = X - sigma.A.T @ X @ sigma.A + S_X @ Rp @ S_X.T - sigma.Q
     return X, S_X, R_X, K_X, G_X, residual, matrix_norm(S_X @ G_X)
 
@@ -202,46 +209,121 @@ def split_inputs(cert: RiccatiCertificate, pol: TolerancePolicy = DEFAULT_POLICY
                       B1=cert.sigma.B @ T1, B2=cert.sigma.B @ T2)
 
 
-def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
-                 pol: TolerancePolicy = DEFAULT_POLICY) -> RiccatiCertificate:
-    """Run the Riccati difference iteration X <- A'XA - S_X R_X^+ S_X' + Q
-    to a fixed point and certify the limit.
-
-    Starts from X = 0.  Convergence is declared when the
-    successive difference drops below ``residual_tol * (1 + ||X||) * 1e-3``
-    (tighter than the certification threshold so the limit certifies).
-
-    Raises
-    ------
-    RiccatiDivergenceError
-        Iterate norm exceeded 1e12 * (1 + ||Q||).
-    RiccatiNoConvergenceError
-        No fixed point within max_iters.
-    RiccatiKernelConditionError
-        The limit solves the GDARE but violates ker R_X <= ker S_X.
-    """
+def _fixed_point(sigma: PopovTriple, max_iters: int, pol):
+    """Yield the iterates X_1, ..., X_max_iters of the update
+    X <- A'XA - S_X R_X^+ S_X' + Q from X_0 = 0."""
     X = np.zeros((sigma.n, sigma.n))
+    for _ in range(max_iters):
+        S_X, _, Rp = _derived(sigma, X, pol)
+        X = sigma.A.T @ X @ sigma.A - S_X @ Rp @ S_X.T + sigma.Q
+        X = 0.5 * (X + X.T)
+        yield X
+
+
+def _doubling(sigma: PopovTriple, max_iters: int):
+    """Yield the iterates X_1, X_2, X_4, ..., X_(2^k) <= max_iters of
+    the same update by structure-preserving doubling (Chu, Fan, Lin and
+    Wang, Int. J. Control 77, 2004), for nonsingular R.
+
+    With A_0 = A - B R^-1 S', G_0 = B R^-1 B', H_0 = Q - S R^-1 S' = X_1
+    and W = I + G_k H_k, each step sets A_(k+1) = A_k W^-1 A_k,
+    G_(k+1) = G_k + A_k W^-1 G_k A_k' and H_(k+1) = H_k + A_k' H_k W^-1 A_k,
+    so that H_k = X_(2^k).  W is invertible when Pi >= 0.
+    """
+    if max_iters < 1:
+        return
+    n = sigma.n
+    RBS = np.linalg.solve(sigma.R, np.hstack([sigma.B.T, sigma.S.T]))
+    A = sigma.A - sigma.B @ RBS[:, n:]
+    G = sigma.B @ RBS[:, :n]
+    G = 0.5 * (G + G.T)
+    H = sigma.Q - sigma.S @ RBS[:, n:]
+    H = 0.5 * (H + H.T)
+    yield H
+    updates = 2
+    while updates <= max_iters:
+        try:
+            WAG = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+        except np.linalg.LinAlgError as exc:
+            raise RiccatiIterationError(
+                "doubling step is singular: I + G H is not invertible") from exc
+        WA, WG = WAG[:, :n], WAG[:, n:]
+        G = G + A @ WG @ A.T
+        G = 0.5 * (G + G.T)
+        H = H + A.T @ H @ WA
+        H = 0.5 * (H + H.T)
+        A = A @ WA
+        yield H
+        updates *= 2
+
+
+def _limit(sigma: PopovTriple, iterates, max_iters: int, pol) -> np.ndarray:
+    """The first of the iterates whose step from the one before (from 0
+    for the first) is at most 1e-3 * residual_tol * (1 + ||X||),
+    spectral norms both.
+
+    Raises RiccatiDivergenceError when an iterate is not finite or its
+    norm exceeds 1e12 * (1 + ||Q||), and RiccatiNoConvergenceError when
+    the iterates run out first.
+    """
     bound = 1e12 * (1.0 + matrix_norm(sigma.Q))
     tol_scale = 1e-3 * pol.residual_tol
-    for _ in range(max_iters):
-        S_X, R_X, Rp, _, _ = _derived(sigma, X, pol)
-        X_next = sigma.A.T @ X @ sigma.A - S_X @ Rp @ S_X.T + sigma.Q
-        X_next = 0.5 * (X_next + X_next.T)
+    X = np.zeros((sigma.n, sigma.n))
+    for X_next in iterates:
         step, X = X_next - X, X_next
         # Each spectral norm costs an SVD.  Since ||X||_2 <= ||X||_F and
         # ||step||_2 >= its largest column norm, these cheap norms (with
         # a factor 2 against rounding) settle most iterations without
         # one, and every decision is the one the spectral norms give.
         fro = np.linalg.norm(X)
+        if not np.isfinite(fro):
+            raise RiccatiDivergenceError("Riccati iterates are not finite")
         if 2.0 * fro > bound and matrix_norm(X) > bound:
             raise RiccatiDivergenceError("Riccati iterates diverged")
         if np.linalg.norm(step, axis=0).max(initial=0.0) > 2.0 * tol_scale * (1.0 + fro):
             continue
         if matrix_norm(step) <= tol_scale * (1.0 + matrix_norm(X)):
-            break
+            return X
+    raise RiccatiNoConvergenceError(
+        f"no fixed point within {max_iters} iterations")
+
+
+def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
+                 pol: TolerancePolicy = DEFAULT_POLICY) -> RiccatiCertificate:
+    """Run the Riccati difference iteration X <- A'XA - S_X R_X^+ S_X' + Q
+    from X = 0 to a fixed point and certify the limit.
+
+    When R is nonsingular under ``pol`` (rank m), the iterates
+    X_1, X_2, X_4, ... come from structure-preserving doubling, one
+    step per doubling of the update count; otherwise from the update
+    itself.  Convergence is declared when the step from the previous
+    iterate drops below ``residual_tol * (1 + ||X||) * 1e-3`` (tighter
+    than the certification threshold so the limit certifies).
+    ``max_iters`` bounds the Riccati updates: a doubling step from X_k
+    to X_2k counts as k of them.
+
+    Raises
+    ------
+    RiccatiDivergenceError
+        Iterate norm exceeded 1e12 * (1 + ||Q||), or an iterate is not
+        finite.
+    RiccatiNoConvergenceError
+        No fixed point within max_iters updates.
+    RiccatiKernelConditionError
+        The limit solves the GDARE but violates ker R_X <= ker S_X.
+    RiccatiIterationError
+        A doubling step is singular, which needs an indefinite Pi.
+    """
+    if rank_of(sigma.R, pol) == sigma.m:
+        iterates = _doubling(sigma, max_iters)
     else:
-        raise RiccatiNoConvergenceError(
-            f"no fixed point within {max_iters} iterations")
+        iterates = _fixed_point(sigma, max_iters, pol)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            X = _limit(sigma, iterates, max_iters, pol)
+    except FloatingPointError as exc:
+        raise RiccatiDivergenceError(
+            f"Riccati iterates are not finite: {exc}") from exc
     try:
         return certify(sigma, X, pol)
     except NotRiccatiSolutionError as exc:

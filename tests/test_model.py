@@ -40,6 +40,10 @@ def test_triple_dimensions(sing_triple):
     np.testing.assert_allclose(pi[:2, 2:], sing_triple.S)
     np.testing.assert_allclose(pi[2:, 2:], sing_triple.R)
     np.testing.assert_allclose(pi, pi.T)
+    # assembled once, read-only
+    assert sing_triple.pi is pi
+    with pytest.raises(ValueError):
+        pi[0, 0] = 9.0
 
 
 def test_triple_shape_validation():

@@ -2,6 +2,8 @@
 certification, input splitting, the fixed-point iteration, and invariants
 shared by solution pairs."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,13 +14,21 @@ from lqpencil import (
     NotSymmetricError,
     PopovTriple,
     RiccatiDivergenceError,
+    RiccatiIterationError,
     RiccatiNoConvergenceError,
     certify,
     iterate_grde,
 )
-from lqpencil.linalg import matrix_norm, pseudo_inverse
+from lqpencil.linalg import DEFAULT_POLICY, matrix_norm, pseudo_inverse
 from lqpencil.pencil import check_solution_pair_invariants
-from lqpencil.riccati import gdare_residual, kernel_condition_violation, split_inputs
+from lqpencil.riccati import (
+    _doubling,
+    _fixed_point,
+    _limit,
+    gdare_residual,
+    kernel_condition_violation,
+    split_inputs,
+)
 
 from conftest import random_regular_problem, random_singular_triple
 
@@ -143,9 +153,10 @@ def test_iterate_iteration_budget():
 
 
 def _spectral_norm_iteration(tr, max_iters):
-    """The iteration with every test on spectral norms; returns the
-    limit and the number of updates, or None when it diverges or runs
-    out of updates."""
+    """The fixed-point iteration with every test on spectral norms;
+    returns the limit and the number of updates, or raises the error
+    class of the iteration's stop rule when it diverges or runs out of
+    updates."""
     X = np.zeros((tr.n, tr.n))
     bound = 1e12 * (1.0 + matrix_norm(tr.Q))
     for k in range(1, max_iters + 1):
@@ -155,37 +166,102 @@ def _spectral_norm_iteration(tr, max_iters):
         X_next = tr.A.T @ X @ tr.A - S_X @ Rp @ S_X.T + tr.Q
         X_next = 0.5 * (X_next + X_next.T)
         if matrix_norm(X_next) > bound:
-            return None
+            raise RiccatiDivergenceError("reference diverged")
         step = matrix_norm(X_next - X)
         X = X_next
         if step <= 1e-11 * (1.0 + matrix_norm(X)):
             return X, k
-    return None
+    raise RiccatiNoConvergenceError("reference ran out of updates")
+
+
+def _fixed_point_limit(tr, max_iters):
+    return _limit(tr, _fixed_point(tr, max_iters, DEFAULT_POLICY), max_iters,
+                  DEFAULT_POLICY)
 
 
 def test_iterate_decisions_match_spectral_norms():
-    # The loop settles most iterations with cheap norm bounds; it must
-    # stop at the same update, with the same bytes, as the plain test.
+    # The fixed-point loop settles most iterations with cheap norm
+    # bounds; it must stop at the same update, with the same bytes, as
+    # the plain test.
     rng = np.random.default_rng(7)
     checked = 0
     for i in range(40):
         tr = random_regular_problem(rng).triple if i % 2 else random_singular_triple(rng)
-        ref = _spectral_norm_iteration(tr, 500)
-        if ref is None:
-            with pytest.raises((RiccatiDivergenceError, RiccatiNoConvergenceError)):
-                iterate_grde(tr, max_iters=500)
+        try:
+            X_ref, k = _spectral_norm_iteration(tr, 500)
+        except RiccatiIterationError as exc:
+            with pytest.raises(type(exc)):
+                _fixed_point_limit(tr, 500)
             continue
-        X_ref, k = ref
         try:
             certify(tr, X_ref)
         except NotRiccatiSolutionError:
             continue
-        assert iterate_grde(tr, max_iters=500).X.tobytes() == X_ref.tobytes()
+        assert _fixed_point_limit(tr, 500).tobytes() == X_ref.tobytes()
         if k > 1:
             with pytest.raises(RiccatiNoConvergenceError):
-                iterate_grde(tr, max_iters=k - 1)
+                _fixed_point_limit(tr, k - 1)
             checked += 1
     assert checked >= 15
+
+
+def _regular_triples(seed, count):
+    """Seeded triples with R > 0 and S != 0, and the scalar plant
+    a = 3, s = 1/2, whose open loop is unstable."""
+    rng = np.random.default_rng(seed)
+    return [random_regular_problem(rng).triple for _ in range(count)] + \
+        [scalar_triple(3.0, 1.0, q=1.0, s=0.5, r=1.0)]
+
+
+def test_doubling_step_equals_fixed_point_update():
+    # Doubling step j gives X_(2^j) of the fixed-point update.
+    triples = _regular_triples(7, 40)
+    assert all(matrix_norm(tr.S) > 0 for tr in triples)
+    assert sum(max(abs(np.linalg.eigvals(tr.A))) > 1 for tr in triples) >= 10
+    for tr in triples:
+        doubled = list(_doubling(tr, 64))
+        updates = list(_fixed_point(tr, 64, DEFAULT_POLICY))
+        assert len(doubled) == 7
+        for j, H in enumerate(doubled):
+            X = updates[2 ** j - 1]
+            assert matrix_norm(H - X) <= 1e-12 * matrix_norm(X)
+
+
+def test_doubling_limit_matches_spectral_norm_iteration():
+    # B = 0 with an unstable A diverges; a slow plant with 4 updates
+    # runs out of them.
+    cases = [(tr, 5000) for tr in _regular_triples(11, 40)] + [
+        (scalar_triple(2.0, 0.0), 5000),
+        (PopovTriple(np.diag([0.5, 1.5]), [[1.0], [0.0]], np.eye(2),
+                     np.zeros((2, 1)), [[1.0]]), 5000),
+        (scalar_triple(0.99, 0.1), 4),
+    ]
+    failures = 0
+    for tr, budget in cases:
+        try:
+            X_ref, _ = _spectral_norm_iteration(tr, budget)
+        except RiccatiIterationError as exc:
+            failures += 1
+            with pytest.raises(type(exc)):
+                iterate_grde(tr, max_iters=budget)
+            continue
+        X = iterate_grde(tr, max_iters=budget).X
+        assert matrix_norm(X - X_ref) <= 1e-10 * (1.0 + matrix_norm(X_ref))
+    assert failures == 3
+
+
+@pytest.mark.parametrize("tr, error", [
+    # Pi = diag(-1, 1): I + G_0 H_0 = 0 at the first doubling step
+    (scalar_triple(1.0, 1.0, q=-1.0), RiccatiIterationError),
+    (scalar_triple(2.0, 0.0), RiccatiDivergenceError),
+    # A^2 overflows at the first doubling step
+    (scalar_triple(1e200, 0.0), RiccatiDivergenceError),
+])
+def test_iterate_failures_are_typed(tr, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            iterate_grde(tr)
 
 
 def test_iterate_agrees_with_scipy_on_regular_family():
