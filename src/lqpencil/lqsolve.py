@@ -46,6 +46,7 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _as_vector,
+    affine_solution_set,
     kernel_basis,
     matrix_norm,
     solve_affine,
@@ -425,7 +426,7 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
             f"horizon {T_h} is below the controllability index {dec.index}")
 
     F, g = assemble_boundary(problem, dec, pol)
-    chi, feasible = solve_affine(F, g, pol)
+    chi, feasible, free_boundary = affine_solution_set(F, g, pol)
     if not feasible:
         raise InfeasibleProblemError("boundary/transversality system is infeasible")
 
@@ -445,5 +446,5 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
     report = _stationarity(problem, xs, us, lams, pol)
     return LqSolution(
         x=xs, u=us, costate=lams, cost=evaluate_cost(problem, xs, us),
-        chi=chi, free_boundary=kernel_basis(F, pol), steering=steering,
+        chi=chi, free_boundary=free_boundary, steering=steering,
         residuals=report, r=r, m1=dec.m1, m2=dec.m2)

@@ -157,10 +157,13 @@ class BoundarySpec:
     def q(self) -> int:
         return self.V0.shape[0]
 
-    @property
+    @cached_property
     def V(self) -> np.ndarray:
-        """The stacked constraint matrix [V0 VT], q x 2n."""
-        return np.hstack([self.V0, self.VT])
+        """The stacked constraint matrix [V0 VT], q x 2n, read-only,
+        assembled on first use."""
+        V = np.hstack([self.V0, self.VT])
+        V.setflags(write=False)
+        return V
 
     @classmethod
     def unconstrained(cls, n: int) -> "BoundarySpec":

@@ -36,6 +36,7 @@ from .linalg import (
     TolerancePolicy,
     kernel_basis,
     matrix_norm,
+    norm_exceeds,
     orthogonal_split,
     rank_of,
     subspace_distance,
@@ -248,10 +249,9 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
     At = U.T @ A_X @ U
     Bt1 = U.T @ split.B1
     Bt2 = U.T @ split.B2
-    scale = 1.0 + matrix_norm(A_X) + matrix_norm(split.B2)
-    if matrix_norm(At[r:, :r]) > pol.residual_tol * scale:
+    if norm_exceeds(At[r:, :r], pol.residual_tol, A_X, split.B2):
         raise DecompositionError("reachable subspace is not A_X-invariant")
-    if matrix_norm(Bt2[r:, :]) > pol.residual_tol * scale:
+    if norm_exceeds(Bt2[r:, :], pol.residual_tol, A_X, split.B2):
         raise DecompositionError("im B2 escapes the reachable subspace")
 
     return PencilDecomposition(

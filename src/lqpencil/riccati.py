@@ -31,9 +31,9 @@ from .linalg import (
     DimensionMismatchError,
     TolerancePolicy,
     _as_matrix,
-    image_basis,
-    kernel_basis,
+    image_and_kernel,
     matrix_norm,
+    norm_exceeds,
     pseudo_inverse,
     rank_of,
 )
@@ -75,7 +75,7 @@ def _check_candidate(sigma: PopovTriple, X, pol) -> np.ndarray:
     n = sigma.n
     if X.shape != (n, n):
         raise DimensionMismatchError(f"X must be {n} x {n}")
-    if matrix_norm(X - X.T) > pol.residual_tol * (1.0 + matrix_norm(X)):
+    if norm_exceeds(X - X.T, pol.residual_tol, X):
         raise NotSymmetricError("X is not symmetric")
     return 0.5 * (X + X.T)
 
@@ -158,8 +158,8 @@ def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
     """:func:`certify` on the output of :func:`_evaluate`."""
     Xs, S_X, R_X, K_X, G_X, res, viol = evaluated
     res_norm = matrix_norm(res)
-    threshold = _threshold(sigma, Xs, pol)
-    if res_norm > threshold or viol > threshold:
+    if norm_exceeds(max(res_norm, viol), pol.residual_tol, sigma.pi, Xs):
+        threshold = _threshold(sigma, Xs, pol)
         raise NotRiccatiSolutionError(
             f"X is not a CGDARE solution (residual {res_norm:.3e}, "
             f"kernel violation {viol:.3e}, threshold {threshold:.3e})",
@@ -202,8 +202,7 @@ def split_inputs(cert: RiccatiCertificate, pol: TolerancePolicy = DEFAULT_POLICY
     complements and [T1 T2] is orthogonal by construction.
     """
     R_X = cert.R_X
-    T1 = image_basis(R_X, pol)
-    T2 = kernel_basis(R_X, pol)
+    T1, T2 = image_and_kernel(R_X, pol)
     R_X0 = T1.T @ R_X @ T1
     return InputSplit(T1=T1, T2=T2, R_X0=0.5 * (R_X0 + R_X0.T),
                       B1=cert.sigma.B @ T1, B2=cert.sigma.B @ T2)
@@ -260,29 +259,22 @@ def _doubling(sigma: PopovTriple, max_iters: int):
 def _limit(sigma: PopovTriple, iterates, max_iters: int, pol) -> np.ndarray:
     """The first of the iterates whose step from the one before (from 0
     for the first) is at most 1e-3 * residual_tol * (1 + ||X||),
-    spectral norms both.
+    spectral norms both, as :func:`~lqpencil.linalg.norm_exceeds`
+    decides it.
 
-    Raises RiccatiDivergenceError when an iterate is not finite or its
-    norm exceeds 1e12 * (1 + ||Q||), and RiccatiNoConvergenceError when
-    the iterates run out first.
+    Raises RiccatiDivergenceError when an iterate (or its Frobenius
+    norm) is not finite or its norm exceeds 1e12 * (1 + ||Q||), and
+    RiccatiNoConvergenceError when the iterates run out first.
     """
-    bound = 1e12 * (1.0 + matrix_norm(sigma.Q))
     tol_scale = 1e-3 * pol.residual_tol
     X = np.zeros((sigma.n, sigma.n))
     for X_next in iterates:
         step, X = X_next - X, X_next
-        # Each spectral norm costs an SVD.  Since ||X||_2 <= ||X||_F and
-        # ||step||_2 >= its largest column norm, these cheap norms (with
-        # a factor 2 against rounding) settle most iterations without
-        # one, and every decision is the one the spectral norms give.
-        fro = np.linalg.norm(X)
-        if not np.isfinite(fro):
+        if not np.isfinite(np.linalg.norm(X)):
             raise RiccatiDivergenceError("Riccati iterates are not finite")
-        if 2.0 * fro > bound and matrix_norm(X) > bound:
+        if norm_exceeds(X, 1e12, sigma.Q):
             raise RiccatiDivergenceError("Riccati iterates diverged")
-        if np.linalg.norm(step, axis=0).max(initial=0.0) > 2.0 * tol_scale * (1.0 + fro):
-            continue
-        if matrix_norm(step) <= tol_scale * (1.0 + matrix_norm(X)):
+        if not norm_exceeds(step, tol_scale, X):
             return X
     raise RiccatiNoConvergenceError(
         f"no fixed point within {max_iters} iterations")

@@ -123,6 +123,20 @@ def test_verify_riccati_rejects_zero(problem_path, tmp_path, capsys):
                                [[0.0, 0.0], [0.0, -1.0]], atol=1e-14)
 
 
+def test_verify_riccati_rejects_a_huge_candidate(tmp_path, capsys):
+    triple = PopovTriple([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
+    path = tmp_path / "scalar.json"
+    save_problem(LqProblem(triple, 2, BoundarySpec.unconstrained(1)), path)
+    xfile = tmp_path / "X.json"
+    xfile.write_text(json.dumps({"X": [[1e160]]}))
+    code, out = run_cli(["verify-riccati", "--problem", str(path),
+                         "--riccati", str(xfile)], capsys)
+    assert code == EXIT_NO_RICCATI
+    doc = last_json(out)
+    assert doc["accepted"] is False
+    assert doc["gdare_residual_norm"] == pytest.approx(1e160)
+
+
 def test_verify_riccati_evaluates_candidate_once(problem_path, tmp_path,
                                                  capsys, monkeypatch):
     calls = []

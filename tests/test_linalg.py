@@ -1,14 +1,20 @@
 """Rank-revealing primitives: pseudo-inverse, kernel/image bases and
 affine solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lqpencil import DimensionMismatchError, NonFiniteMatrixError, TolerancePolicy
+from lqpencil import linalg
 from lqpencil.linalg import (
+    affine_solution_set,
+    image_and_kernel,
     image_basis,
     kernel_basis,
     matrix_norm,
+    norm_exceeds,
     orthogonal_split,
     pseudo_inverse,
     rank_of,
@@ -196,6 +202,141 @@ def test_solve_affine_consistency_random():
 def test_matrix_norm():
     assert matrix_norm(np.zeros((0, 0))) == 0.0
     assert matrix_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+    # the same bytes as numpy's spectral norm
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 12, size=2)
+        A = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-5, 4)
+        assert matrix_norm(A) == float(np.linalg.norm(A, 2))
+
+
+def exact_exceeds(E, tol, *scales):
+    """The decision norm_exceeds screens, from spectral norms alone."""
+    total = 1.0
+    for S in scales:
+        total += matrix_norm(S)
+    return matrix_norm(E) > tol * total
+
+
+def test_norm_exceeds_at_the_threshold():
+    # E scaled onto the threshold and a few ulps either side of it,
+    # where no screen can decide and the exact norms must.
+    rng = np.random.default_rng(5)
+    tol = 1e-8
+    for _ in range(40):
+        k = int(rng.integers(1, 6))
+        E = rng.normal(size=(k, int(rng.integers(1, 6))))
+        scales = [rng.normal(size=(k, k)), rng.normal(size=(k, 2))]
+        E = E * (tol * (1.0 + sum(matrix_norm(S) for S in scales))
+                 / matrix_norm(E))
+        for ulps in range(-4, 5):
+            Ek = E * (1.0 + ulps * np.finfo(float).eps)
+            assert norm_exceeds(Ek, tol, *scales) == exact_exceeds(Ek, tol, *scales)
+
+
+def test_norm_exceeds_on_extreme_shapes():
+    tol = 1e-8
+    # rank 1: the Frobenius norm is the spectral norm; c I_k: it is
+    # sqrt(k) times the spectral norm, the widest gap for k columns.
+    u, v = np.array([1.0, -2.0, 2.0]), np.array([3.0, 4.0])
+    cases = [np.outer(u, v) / 15.0, np.eye(1), np.eye(4), np.eye(9)]
+    for E in cases:
+        for factor in (0.01, 0.4, 0.5, 0.6, 0.999, 1.0, 1.001, 1.9, 2.1, 100.0):
+            for scales in ((), (np.diag([3.0, 1.0]),), (np.eye(9), np.ones((2, 5)))):
+                total = 1.0 + sum(matrix_norm(S) for S in scales)
+                Ek = E * (factor * tol * total)
+                assert norm_exceeds(Ek, tol, *scales) == exact_exceeds(Ek, tol, *scales)
+    # a scalar E, as the certificate threshold uses it
+    assert norm_exceeds(2.0 * tol, tol)
+    assert not norm_exceeds(0.5 * tol, tol)
+    # empty E never exceeds; empty scales count as norm 0
+    assert not norm_exceeds(np.zeros((0, 3)), tol, np.eye(2))
+    assert not norm_exceeds(np.zeros((2, 0)), tol)
+    assert norm_exceeds(np.eye(2), tol, np.zeros((0, 0)), np.zeros((3, 0)))
+    assert not norm_exceeds(np.eye(2), 2.0, np.zeros((0, 4)))
+
+
+def test_norm_exceeds_near_overflow_and_underflow():
+    # Sums of squares overflow past about 1.3e154 and underflow below
+    # about 1e-154; the decision must still be the exact one, with no
+    # warning, and no error where the Riccati iteration raises them.
+    rng = np.random.default_rng(13)
+    cases = [([[1e160]], 1e-8, [np.eye(1), np.array([[1e160]])]),
+             (1e160, 1e-8, [np.eye(2), 1e160 * np.eye(1)]),
+             (1e150 * np.ones((2, 2)), 1e-8, [1e156 * np.ones((2, 2))]),
+             (1e-170 * np.ones((2, 2)), 1e-200, []),
+             (1e-170 * np.ones((3, 1)), 1e-171, [1e-160 * np.eye(3)])]
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        E = rng.normal(size=(k, int(rng.integers(1, 5))))
+        scales = [rng.normal(size=(k, k)) * 10.0 ** rng.uniform(155, 200)]
+        E = E * (1e-8 * (1.0 + matrix_norm(scales[0])) / matrix_norm(E))
+        for factor in (1e-6, 0.4, 0.999, 1.001, 2.5, 1e6):
+            cases.append((factor * E, 1e-8, scales))
+    decisions = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for E, tol, scales in cases:
+                want = exact_exceeds(E, tol, *scales)
+                assert norm_exceeds(E, tol, *scales) == want
+                decisions.add(want)
+    assert decisions == {False, True}
+    assert norm_exceeds([[1e160]], 1e-8, np.eye(1), np.array([[1e160]]))
+    assert norm_exceeds(1e150 * np.ones((2, 2)), 1e-8, 1e156 * np.ones((2, 2)))
+    assert not norm_exceeds(1e150 * np.ones((2, 2)), 1e-8,
+                            1e160 * np.ones((2, 2)))
+    assert norm_exceeds(1e-170 * np.ones((2, 2)), 1e-200)
+
+
+def test_norm_exceeds_screens_clear_decisions(monkeypatch):
+    # Far from the threshold the column and Frobenius norms decide,
+    # with no SVD.
+    rng = np.random.default_rng(7)
+    E, S = rng.normal(size=(5, 4)), rng.normal(size=(5, 5))
+    want = {f: exact_exceeds(f * E, 1e-8, S) for f in (1e-12, 1e-4)}
+
+    def no_svd(M):
+        raise AssertionError("screen left the decision open")
+
+    monkeypatch.setattr(linalg, "matrix_norm", no_svd)
+    for factor, exceeds in want.items():
+        assert norm_exceeds(factor * E, 1e-8, S) == exceeds
+    assert want == {1e-12: False, 1e-4: True}
+
+
+def test_single_svd_bases_equal_the_separate_rules():
+    rng = np.random.default_rng(11)
+    for k in range(60):
+        n = int(rng.integers(1, 8))
+        F = rng.normal(size=(n, n))
+        if k % 2 and n > 1:
+            F[-1] = 2.0 * F[0]
+        g = F @ rng.normal(size=n) if k % 3 else rng.normal(size=n)
+        particular, feasible, kernel = affine_solution_set(F, g)
+        want_particular, want_feasible = solve_affine(F, g)
+        want_kernel = kernel_basis(F)
+        assert particular.tobytes() == want_particular.tobytes()
+        assert feasible == want_feasible
+        assert kernel.shape == want_kernel.shape
+        assert kernel.tobytes() == want_kernel.tobytes()
+        image, kernel = image_and_kernel(F.T @ F)
+        assert image.tobytes() == image_basis(F.T @ F).tobytes()
+        assert kernel.tobytes() == kernel_basis(F.T @ F).tobytes()
+    for M in (np.zeros((0, 3)), np.zeros((2, 0))):
+        image, kernel = image_and_kernel(M)
+        np.testing.assert_array_equal(image, image_basis(M))
+        np.testing.assert_array_equal(kernel, kernel_basis(M))
+    particular, feasible, kernel = affine_solution_set(np.zeros((0, 2)), [])
+    assert feasible and particular.shape == (2,)
+    np.testing.assert_array_equal(kernel, np.eye(2))
+    # a non-square F keeps the meaning, if not the bytes
+    F = rng.normal(size=(2, 4))
+    g = rng.normal(size=2)
+    particular, feasible, kernel = affine_solution_set(F, g)
+    assert feasible
+    np.testing.assert_allclose(particular, solve_affine(F, g)[0], atol=1e-12)
+    assert subspace_distance(kernel, kernel_basis(F)) < 1e-12
 
 
 def test_subspace_distance():

@@ -25,7 +25,11 @@ from lqpencil import (
     solve_problem,
     verify_stationarity,
 )
-from lqpencil.fixtures import cyclic_problem, singular_riccati_solution
+from lqpencil.fixtures import (
+    bundled_problem_path,
+    cyclic_problem,
+    singular_riccati_solution,
+)
 from lqpencil.linalg import kernel_basis, rank_of, solve_affine
 from lqpencil.lqsolve import (
     _steering_stacks,
@@ -35,7 +39,7 @@ from lqpencil.lqsolve import (
     endpoint_gramian,
     solve_with_decomposition,
 )
-from lqpencil.model import evaluate_cost
+from lqpencil.model import evaluate_cost, load_problem
 from lqpencil.pencil import (
     PencilDecomposition,
     _reachable_staging,
@@ -45,6 +49,7 @@ from lqpencil.riccati import InputSplit, split_inputs
 
 from conftest import (
     attach_random_boundary,
+    random_regular_problem,
     random_singular_triple,
     rebuild_trajectories,
 )
@@ -559,3 +564,43 @@ def test_random_singular_instances_match_oracle(pol):
             assert sol.cost == pytest.approx(cost,
                                              abs=1e-6 * (1 + abs(cost)))
         done += 1
+
+
+def test_boundary_solution_set_is_the_separate_rules():
+    # chi, its feasibility and free_boundary come from one SVD of the
+    # square boundary matrix F, byte-equal to solve_affine and
+    # kernel_basis of F.
+    rng = np.random.default_rng(41)
+    problems = [load_problem(bundled_problem_path())]
+    while len(problems) < 25:
+        if len(problems) % 2:
+            problems.append(random_regular_problem(rng))
+            continue
+        triple = random_singular_triple(rng)
+        try:
+            cert = iterate_grde(triple)
+        except (RiccatiDivergenceError, RiccatiNoConvergenceError):
+            continue
+        dec = reachability_decomposition(cert, split_inputs(cert))
+        problems.append(attach_random_boundary(rng, triple, dec))
+    solved = 0
+    for p in problems:
+        try:
+            cert = iterate_grde(p.triple)
+        except (RiccatiDivergenceError, RiccatiNoConvergenceError):
+            continue
+        dec = reachability_decomposition(cert, split_inputs(cert))
+        F, g = assemble_boundary(p, dec)
+        chi, feasible = solve_affine(F, g)
+        try:
+            sol = solve_with_decomposition(p, dec)
+        except (InfeasibleProblemError, HorizonTooShortError):
+            assert not feasible or p.horizon < dec.index
+            continue
+        assert feasible
+        assert sol.chi.tobytes() == chi.tobytes()
+        kernel = kernel_basis(F)
+        assert sol.free_boundary.shape == kernel.shape
+        assert sol.free_boundary.tobytes() == kernel.tobytes()
+        solved += 1
+    assert solved >= 20

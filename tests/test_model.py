@@ -66,7 +66,11 @@ def test_boundary_spec_stacking(cyclic):
     bd = cyclic.boundary
     assert bd.q == 2
     assert bd.n == 2
-    np.testing.assert_allclose(bd.V, np.hstack([np.eye(2), -np.eye(2)]))
+    np.testing.assert_array_equal(bd.V, np.hstack([np.eye(2), -np.eye(2)]))
+    # assembled once, read-only
+    assert bd.V is bd.V
+    with pytest.raises(ValueError):
+        bd.V[0, 0] = 9.0
     free = BoundarySpec.unconstrained(3)
     assert free.q == 0
     assert free.V.shape == (0, 6)

@@ -21,6 +21,7 @@ from lqpencil.linalg import (
     rank_of,
     subspace_distance,
 )
+from lqpencil import pencil
 from lqpencil.pencil import (
     PencilDecomposition,
     _reachable_staging,
@@ -254,6 +255,28 @@ def staging_pairs(rng):
             B = rng.normal(size=(n, m))
             B[k:] = 0.0
             yield Q @ A @ Q.T, Q @ B
+
+
+@pytest.mark.parametrize("angle, message", [
+    (np.pi / 4, "reachable subspace is not A_X-invariant"),
+    (np.pi / 2, "im B2 escapes the reachable subspace"),
+])
+def test_decomposition_rejects_a_rotated_basis(monkeypatch, sing_cert, angle,
+                                               message):
+    # In the running example A_X = diag(1, 0) up to rounding, im B2 = e1
+    # and r = 1.  Turning [U1 U2] by 45 degrees makes U1 = (e1 + e2)/sqrt 2,
+    # which A_X does not keep; by 90 degrees U1 = e2, which A_X keeps
+    # but which misses im B2.
+    staging = pencil._reachable_staging
+
+    def rotated(A, B, pol):
+        U1, U2, index = staging(A, B, pol)
+        c, s = np.cos(angle), np.sin(angle)
+        return c * U1 + s * U2, c * U2 - s * U1, index
+
+    monkeypatch.setattr(pencil, "_reachable_staging", rotated)
+    with pytest.raises(DecompositionError, match=message):
+        reachability_decomposition(sing_cert, split_inputs(sing_cert))
 
 
 def test_reachable_staging_matches_separate_rules(pol):

@@ -19,7 +19,13 @@ from lqpencil import (
     certify,
     iterate_grde,
 )
-from lqpencil.linalg import DEFAULT_POLICY, matrix_norm, pseudo_inverse
+from lqpencil.linalg import (
+    DEFAULT_POLICY,
+    image_basis,
+    kernel_basis,
+    matrix_norm,
+    pseudo_inverse,
+)
 from lqpencil.pencil import check_solution_pair_invariants
 from lqpencil.riccati import (
     _doubling,
@@ -84,6 +90,16 @@ def test_certify_rejects_non_solution(sing_triple):
     assert exc.value.gdare_residual == pytest.approx(1.0)
 
 
+def test_certify_rejects_a_huge_non_solution():
+    # X = 1e160 leaves a residual of about 1e160 against a threshold of
+    # about 1e152; its sums of squares overflow, which must not pass it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotRiccatiSolutionError) as exc:
+            certify(scalar_triple(0.5, 1.0), np.array([[1e160]]))
+    assert exc.value.gdare_residual == pytest.approx(1e160)
+
+
 def test_certify_rejects_kernel_violation():
     bad = scalar_triple(1.0, 1.0, q=1.0, s=1.0, r=0.0)
     with pytest.raises(NotRiccatiSolutionError) as exc:
@@ -120,6 +136,28 @@ def test_split_inputs_all_free():
     cert = certify(sigma, [[0.0]])
     sp = split_inputs(cert)
     assert sp.m1 == 0 and sp.m2 == 1
+
+
+def test_split_inputs_bases_are_the_separate_rules(sing_cert):
+    # T1 and T2 come from one SVD of R_X, byte-equal to image_basis and
+    # kernel_basis of R_X.
+    rng = np.random.default_rng(23)
+    certs = [sing_cert, certify(scalar_triple(2.0, 1.0), [[2.0 + np.sqrt(5.0)]]),
+             certify(scalar_triple(0.5, 1.0, q=0.0, r=0.0), [[0.0]])]
+    for k in range(30):
+        sigma = (random_regular_problem(rng).triple if k % 2
+                 else random_singular_triple(rng))
+        try:
+            certs.append(iterate_grde(sigma))
+        except RiccatiIterationError:
+            pass
+    assert len(certs) >= 25
+    for cert in certs:
+        sp = split_inputs(cert)
+        for got, want in ((sp.T1, image_basis(cert.R_X)),
+                          (sp.T2, kernel_basis(cert.R_X))):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_iterate_reaches_singular_solution(sing_triple):
