@@ -271,18 +271,6 @@ def evaluate_cost(problem: LqProblem, xs, us) -> float:
     return float(np.sum((Z @ tr.pi) * Z)) + float(e @ bd.H @ e)
 
 
-def simulate(triple: PopovTriple, x0, us) -> np.ndarray:
-    """Roll the dynamics forward: returns states of shape (T+1, n)."""
-    x0 = _as_vector(x0, "x0")
-    us = np.asarray(us, dtype=float)
-    us = us.reshape(-1, triple.m)
-    xs = np.empty((us.shape[0] + 1, triple.n))
-    xs[0] = x0
-    for t in range(us.shape[0]):
-        xs[t + 1] = triple.A @ xs[t] + triple.B @ us[t]
-    return xs
-
-
 # --- JSON problem files -------------------------------------------------
 #
 # Schema (row-major nested lists; a flat row-major list, or a bare number

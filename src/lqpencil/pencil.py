@@ -20,8 +20,9 @@ which the complete eigenstructure can be read off:
 * the normal rank is 2n + m1, m1 the rank of R_X.
 
 :func:`generalized_spectrum` reads every figure off these blocks; no
-evaluation of N - z M is involved.  All of this is independent of which
-CGDARE solution X is used.
+evaluation of N - z M is involved.  The congruence check and
+:func:`canonical_form` share the products U_X N V_X and U_X M V_X, each
+formed once.  All of this is independent of which CGDARE solution X is used.
 """
 
 from __future__ import annotations
@@ -117,11 +118,12 @@ def riccati_congruence(cert: RiccatiCertificate,
 
     identically in z.  U_X has determinant 1 and V_X determinant
     (-1)^n, so ranks are preserved.  The identity is verified at
-    z in {0, 1} before returning, without singular values: the
-    residual's Frobenius norm against ``residual_tol`` times
-    1 + max|N| + max|M| + max|X| (largest absolute entries).  As
-    ||R||_2 <= ||R||_F and max|a_ij| <= ||A||_2, this is at least as
-    strict as the same bound in spectral norms.
+    z in {0, 1} before returning, on the two products U_X N V_X and
+    U_X M V_X, each formed once (:func:`canonical_form` reuses them),
+    and without singular values: the residual's Frobenius norm against
+    ``residual_tol`` times 1 + max|N| + max|M| + max|X| (largest
+    absolute entries).  As ||R||_2 <= ||R||_F and max|a_ij| <= ||A||_2,
+    this is at least as strict as the same bound in spectral norms.
 
     Returns
     -------
@@ -132,12 +134,13 @@ def riccati_congruence(cert: RiccatiCertificate,
     DecompositionError
         If the residual exceeds that bound at z = 0 or z = 1.
     """
-    return _verified_congruence(cert, build_esp(cert.sigma), pol)
+    return _verified_congruence(cert, build_esp(cert.sigma), pol)[:2]
 
 
 def _verified_congruence(cert: RiccatiCertificate, esp: Pencil,
                          pol: TolerancePolicy):
-    """:func:`riccati_congruence` on ``esp``, the pencil of cert.sigma."""
+    """:func:`riccati_congruence` on ``esp``, the pencil of cert.sigma;
+    returns (U_X, V_X, U_X N V_X, U_X M V_X)."""
     sigma = cert.sigma
     n, m = sigma.n, sigma.m
     X, K_X, A_X = cert.X, cert.K_X, cert.A_X
@@ -149,15 +152,17 @@ def _verified_congruence(cert: RiccatiCertificate, esp: Pencil,
     V_X[n:2 * n, :n] = X
     V_X[n:2 * n, n:2 * n] = -np.eye(n)
     V_X[2 * n:, :n] = -K_X
+    C_N = U_X @ esp.N @ V_X
+    C_M = U_X @ esp.M @ V_X
 
     scale = 1.0 + sum(np.max(np.abs(W), initial=0.0) for W in (esp.N, esp.M, X))
-    for z in (0.0, 1.0):
-        residual = np.linalg.norm(U_X @ esp.at(z) @ V_X - _triangular_rhs(cert, z))
+    for z, C in ((0.0, C_N), (1.0, C_N - C_M)):
+        residual = np.linalg.norm(C - _triangular_rhs(cert, z))
         if residual > pol.residual_tol * scale:
             raise DecompositionError(
                 f"congruence verification failed at z={z} "
                 f"(residual {residual:.3e})")
-    return U_X, V_X
+    return U_X, V_X, C_N, C_M
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,8 @@ def canonical_form(dec: PencilDecomposition,
     Applies, on top of the block-triangular congruence, the orthogonal
     L = blkdiag(U, U, [T1 T2]) of the reachability coordinates and the
     input split, as L' U_X (N - zM) V_X L, and reorders its blocks by
-    index, yielding (with nr = n - r)
+    index.  The products U_X N V_X and U_X M V_X are those the
+    congruence check formed.  This yields (with nr = n - r)
 
         rows (x1, l1, u2, x2, l2, u1), cols (x1, u2, l1, x2, l2, u1):
 
@@ -288,8 +294,7 @@ def canonical_form(dec: PencilDecomposition,
         If the certificate's congruence fails its check (see
         :func:`riccati_congruence`).
     """
-    esp = build_esp(dec.cert.sigma)
-    U_X, V_X = _verified_congruence(dec.cert, esp, pol)
+    _, _, C_N, C_M = _verified_congruence(dec.cert, build_esp(dec.cert.sigma), pol)
     n, m = dec.n, dec.m1 + dec.m2
     L = np.zeros((2 * n + m, 2 * n + m))
     L[:n, :n] = dec.U
@@ -299,13 +304,9 @@ def canonical_form(dec: PencilDecomposition,
     sizes = (dec.r, n - dec.r, dec.r, n - dec.r, dec.m1, dec.m2)
     ends = np.cumsum(sizes)
     block = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
-    rows = np.concatenate([block[k] for k in (0, 2, 5, 1, 3, 4)])
-    cols = np.concatenate([block[k] for k in (0, 5, 2, 1, 3, 4)])
-
-    def transform(W):
-        return (L.T @ U_X @ W @ V_X @ L)[np.ix_(rows, cols)]
-
-    return Pencil(transform(esp.N), transform(esp.M))
+    rows = L[:, np.concatenate([block[k] for k in (0, 2, 5, 1, 3, 4)])]
+    cols = L[:, np.concatenate([block[k] for k in (0, 5, 2, 1, 3, 4)])]
+    return Pencil(rows.T @ C_N @ cols, rows.T @ C_M @ cols)
 
 
 @dataclass(frozen=True)
@@ -338,37 +339,57 @@ class PencilSpectrum:
 
 
 def _cluster(values, tol):
-    """Greedy clustering of complex values; deterministic via sorting."""
-    ordered = sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    clusters = []  # [center, count]
-    for z in ordered:
-        for c in clusters:
-            if abs(z - c[0]) <= tol:
-                c[1] += 1
-                break
+    """Greedy clustering of complex values, returned as (centres, counts).
+
+    In the stable order of their real, then imaginary parts rounded to
+    12 digits, values join the first earlier centre within ``tol`` or
+    become centres.  Only values with a neighbour within ``tol`` can join.
+    """
+    z = np.asarray(values)
+    z = z[np.lexsort((np.round(z.imag, 12), np.round(z.real, 12)))]
+    gap = z[:, None] - z[None, :]
+    # hypot rounds as abs() of a numpy complex scalar does; np.abs may not
+    near = np.hypot(gap.real, gap.imag) <= tol
+    centre = near.sum(axis=1) == 1
+    counts = np.ones(len(z), dtype=int)
+    heads = []
+    for i in np.flatnonzero(~centre):
+        head = next((h for h in heads if near[i, h]), None)
+        if head is None:
+            heads.append(i)
+            centre[i] = True
         else:
-            clusters.append([z, 1])
-    return clusters
+            counts[head] += 1
+    return z[centre], counts[centre]
 
 
-def _zero_multiplicities(A, pol):
-    """(algebraic, geometric) multiplicity of the eigenvalue 0 of A,
-    via the rank chain of its powers."""
-    d = A.shape[0]
-    if d == 0:
+def _infinite_multiplicities(A22, B12, pol):
+    """(algebraic, geometric) multiplicity of the eigenvalue 0 of
+    P_inf (see :class:`PencilSpectrum`), via the rank chain of its powers.
+
+    P_inf = blkdiag(I_d, [[A22', 0], [B12', 0]]), so the singular values
+    of P_inf^k are d ones, m1 zeros and those of the (d + m1) x d block
+    G_k = [A22'^k; B12' A22'^(k-1)] = G_(k-1) A22'.  The chain runs on
+    G_k, and each rank is decided as :func:`rank_of` decides that of
+    P_inf^k: cutoff rank_rel_tol * (2d + m1) * max(1, sigma_max(G_k)).
+    """
+    d, m1 = B12.shape
+    size = 2 * d + m1
+    if size == 0:
         return 0, 0
-    geometric = d - rank_of(A, pol)
-    prev = d
-    power = np.eye(d)
-    algebraic = 0
-    for _ in range(d):
-        power = power @ A
-        rk = rank_of(power, pol)
-        if rk == prev:
+    block = np.vstack([A22.T, B12.T])
+    prev, geometric = size, None
+    for _ in range(size):
+        s = np.linalg.svd(block, compute_uv=False) if d else np.zeros(0)
+        cutoff = pol.rank_rel_tol * size * np.max(s, initial=1.0)
+        rank = d * (1.0 > cutoff) + int(np.sum(s > cutoff))
+        if geometric is None:
+            geometric = size - rank
+        if rank == prev:
             break
-        algebraic = d - rk
-        prev = rk
-    return algebraic, geometric
+        prev = rank
+        block = block @ A22.T
+    return size - prev, geometric
 
 
 def generalized_spectrum(dec: PencilDecomposition,
@@ -384,25 +405,20 @@ def generalized_spectrum(dec: PencilDecomposition,
     of P_inf (see :class:`PencilSpectrum`).  No figure is measured on
     N - z M itself: each rests on the checks the blocks have passed,
     those of the certificate and of :func:`reachability_decomposition`.
-    """
-    A22 = dec.A_X22
-    eigs = list(np.linalg.eigvals(A22)) if A22.size else []
-    candidates = list(eigs)
-    candidates += [1.0 / z for z in eigs if abs(z) > pol.eig_match_tol]
-    finite = tuple(
-        FiniteEigenvalue(value=complex(c[0]), multiplicity=int(c[1]))
-        for c in _cluster(candidates, pol.eig_match_tol))
 
-    d = A22.shape[0]
-    m1 = dec.m1
-    P_inf = np.zeros((2 * d + m1, 2 * d + m1))
-    P_inf[:d, :d] = np.eye(d)
-    P_inf[d:2 * d, d:2 * d] = A22.T
-    P_inf[2 * d:, d:2 * d] = dec.B12.T
-    inf_alg, inf_geo = _zero_multiplicities(P_inf, pol)
+    Cost: one ``eigvals`` of the d x d A_X22 (d = n - r), and a rank
+    chain on (d + m1) x d blocks (see :func:`_infinite_multiplicities`).
+    """
+    A22, tol = dec.A_X22, pol.eig_match_tol
+    eigs = np.linalg.eigvals(A22) if A22.size else np.zeros(0)
+    nonzero = eigs[np.hypot(eigs.real, eigs.imag) > tol]  # |z| as in _cluster
+    centres, counts = _cluster(np.concatenate([eigs, 1.0 / nonzero]), tol)
+    finite = tuple(FiniteEigenvalue(value=complex(c), multiplicity=int(k))
+                   for c, k in zip(centres, counts))
+    inf_alg, inf_geo = _infinite_multiplicities(A22, dec.B12, pol)
 
     return PencilSpectrum(
-        normal_rank=2 * dec.n + m1,
+        normal_rank=2 * dec.n + dec.m1,
         finite_eigenvalues=finite,
         infinite_algebraic=int(inf_alg),
         infinite_geometric=int(inf_geo),

@@ -113,12 +113,6 @@ def gdare_residual(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY)
     return _evaluate(sigma, X, pol)[5]
 
 
-def kernel_condition_violation(sigma: PopovTriple, X,
-                               pol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Spectral norm of S_X G_X; zero iff ker R_X <= ker S_X."""
-    return _evaluate(sigma, X, pol)[6]
-
-
 @dataclass(frozen=True)
 class RiccatiCertificate:
     """A CGDARE solution X together with its derived closed-loop data

@@ -93,6 +93,16 @@ def rebuild_trajectories(problem, dec, chi, free_shift=0.0):
     return _trajectories(dec, x1_0, swept, u_free + free_shift)
 
 
+def simulate(triple, x0, us):
+    """Roll the dynamics forward: returns states of shape (T+1, n)."""
+    us = np.asarray(us, dtype=float).reshape(-1, triple.m)
+    xs = np.empty((us.shape[0] + 1, triple.n))
+    xs[0] = x0
+    for t in range(us.shape[0]):
+        xs[t + 1] = triple.A @ xs[t] + triple.B @ us[t]
+    return xs
+
+
 def measured_normal_rank(p):
     """Normal rank of the pencil N - zM measured on the pencil itself:
     the largest rank of N - zM over the ``size + 1`` distinct points

@@ -52,6 +52,7 @@ from conftest import (
     random_regular_problem,
     random_singular_triple,
     rebuild_trajectories,
+    simulate,
 )
 
 
@@ -461,7 +462,6 @@ def test_solution_invariant_under_decomposition_basis_change():
 
 def test_fully_pinned_endpoints_match_oracle(sing_triple, sing_cert):
     # pin x(0) and a reachable x(T), no penalty
-    from lqpencil.model import simulate
     x0 = np.array([1.0, -0.5])
     us = np.array([[0.2, -0.1], [0.4, 0.3], [-0.2, 0.1]])
     xT = simulate(sing_triple, x0, us)[3]

@@ -25,10 +25,9 @@ from lqpencil.model import (
     factor_cost,
     problem_from_dict,
     problem_to_dict,
-    simulate,
 )
 
-from conftest import WRONG_SHAPES, three_input_document
+from conftest import WRONG_SHAPES, simulate, three_input_document
 
 
 def test_triple_dimensions(sing_triple):

@@ -14,10 +14,10 @@ from lqpencil import (
     solve_flat,
 )
 from lqpencil.linalg import kernel_basis, solve_affine
-from lqpencil.model import evaluate_cost, simulate
+from lqpencil.model import evaluate_cost
 from lqpencil.oracle import MAX_FLAT_VARIABLES, FlatQp, projected_gradient_norm
 
-from conftest import random_regular_problem, random_singular_triple
+from conftest import random_regular_problem, random_singular_triple, simulate
 
 
 def scalar_chain_problem(with_penalty):

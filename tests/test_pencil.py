@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from lqpencil import (
     DecompositionError,
@@ -436,3 +437,112 @@ def test_spectrum_invariants_random_singular():
             assert match, f"missing reciprocal of {ev.value}"
             assert mults[match[0]] == ev.multiplicity
         done += 1
+
+
+def cluster_by_loop(values, tol):
+    """The greedy clustering as one Python loop: values in order of
+    their real, then imaginary parts rounded to 12 digits, each joining
+    the first earlier centre within tol or starting a cluster."""
+    ordered = sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    clusters = []  # [centre, count]
+    for z in ordered:
+        for c in clusters:
+            if abs(z - c[0]) <= tol:
+                c[1] += 1
+                break
+        else:
+            clusters.append([z, 1])
+    return clusters
+
+
+def cluster_inputs(tol):
+    a = 0.3 - 0.7j
+    rng = np.random.default_rng(5)
+    yield "chain", np.array([a, a + 0.6 * tol, a + 1.2 * tol])
+    yield "chain reversed", np.array([a + 1.2 * tol, a + 0.6 * tol, a])
+    yield "real chain", np.array([2.0 + 1.2 * tol, 2.0, 2.0 + 0.6 * tol, -1.0])
+    yield "duplicates", np.array([a, 1.5, a, a, 1.5 + 0j])
+    yield "conjugate pairs", np.array([a, np.conj(a), 1j * tol / 4, -1j * tol / 4])
+    # equal sort keys: the stable sort keeps input order, so the centre
+    # is whichever came first
+    yield "rounding ties", np.array([1.0 + 2e-13, 1.0 - 2e-13, 1.0 + 1e-13j, 1.0])
+    yield "rounding ties reversed", np.array([1.0, 1.0 + 1e-13j, 1.0 - 2e-13,
+                                              1.0 + 2e-13])
+    yield "jittered", a + tol * (rng.uniform(0, 3, 40) + 1j * rng.uniform(0, 1, 40))
+    yield "empty", np.zeros(0)
+
+
+@pytest.mark.parametrize("name, values", list(cluster_inputs(1e-7)))
+def test_cluster_matches_greedy_loop(name, values):
+    tol = 1e-7
+    centres, counts = pencil._cluster(values, tol)
+    expected = cluster_by_loop(values, tol)
+    want = np.array([c for c, _ in expected], dtype=values.dtype)
+    assert centres.dtype == values.dtype
+    assert centres.tobytes() == want.tobytes()
+    assert counts.tolist() == [k for _, k in expected]
+
+
+def infinite_by_full_chain(A22, B12, pol):
+    """(algebraic, geometric) multiplicity of the eigenvalue 0 of the
+    whole P_inf = [[I, 0, 0], [0, A22', 0], [0, B12', 0]], from the
+    ranks of its powers."""
+    d, m1 = B12.shape
+    size = 2 * d + m1
+    if size == 0:
+        return 0, 0
+    P = np.zeros((size, size))
+    P[:d, :d] = np.eye(d)
+    P[d:2 * d, d:2 * d] = A22.T
+    P[2 * d:, d:2 * d] = B12.T
+    geometric = size - rank_of(P, pol)
+    prev, power, algebraic = size, np.eye(size), 0
+    for _ in range(size):
+        power = power @ P
+        rank = rank_of(power, pol)
+        if rank == prev:
+            break
+        algebraic, prev = size - rank, rank
+    return algebraic, geometric
+
+
+def jordan_at_zero(*sizes):
+    """Nilpotent matrix with one Jordan block at 0 of each size."""
+    return block_diag(*[np.eye(k, k=1) for k in sizes])
+
+
+def infinite_cases():
+    """(A22, B12, nilpotent) triples; nilpotent is None where the
+    entries are too large for the unit-scale rank identities below."""
+    rng = np.random.default_rng(23)
+    J = jordan_at_zero(3, 2)
+    Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    for A22 in (J, Q @ J @ Q.T, jordan_at_zero(6)):
+        d = len(A22)
+        for m1, rank in ((3, 0), (3, 1), (3, 2), (3, 3), (0, 0)):
+            B12 = rng.normal(size=(d, rank)) @ rng.normal(size=(rank, m1))
+            yield A22, B12, True
+    yield np.zeros((0, 0)), np.zeros((0, 2)), True
+    yield np.zeros((0, 0)), np.zeros((0, 0)), True
+    # a nonsingular A22 beside a nilpotent one: a chain that stops early
+    yield block_diag(np.diag([0.5, -2.0]), J), rng.normal(size=(7, 2)), False
+    # entries so large that the rank cutoff passes the unit singular
+    # values of the I block of P_inf
+    yield np.diag([1e11, 0.0]), rng.normal(size=(2, 1)), None
+
+
+def test_infinite_multiplicities_on_long_rank_chains(sing_dec, pol):
+    for A22, B12, nilpotent in infinite_cases():
+        d, m1 = B12.shape
+        # the spectrum reads m1 off the split, as the column count of T1
+        split = dataclasses.replace(sing_dec.split, T1=np.eye(m1))
+        spec = generalized_spectrum(
+            dataclasses.replace(sing_dec, split=split, A_X22=A22, B12=B12), pol)
+        got = (spec.infinite_algebraic, spec.infinite_geometric)
+        assert got == infinite_by_full_chain(A22, B12, pol)
+        if nilpotent is None:
+            continue
+        # P_inf = blkdiag(I, M) with M nilpotent when A22 is
+        if nilpotent:
+            assert got[0] == d + m1
+        assert got[1] == d + m1 - rank_of(np.vstack([A22.T, B12.T]), pol)

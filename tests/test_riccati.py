@@ -29,14 +29,19 @@ from lqpencil.linalg import (
 from lqpencil.pencil import check_solution_pair_invariants
 from lqpencil.riccati import (
     _doubling,
+    _evaluate,
     _fixed_point,
     _limit,
     gdare_residual,
-    kernel_condition_violation,
     split_inputs,
 )
 
 from conftest import random_regular_problem, random_singular_triple
+
+
+def kernel_condition_violation(sigma, X, pol=DEFAULT_POLICY):
+    """Spectral norm of S_X G_X; zero iff ker R_X <= ker S_X."""
+    return _evaluate(sigma, X, pol)[6]
 
 
 def scalar_triple(a, b, q=1.0, s=0.0, r=1.0):
