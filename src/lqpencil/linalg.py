@@ -1,19 +1,20 @@
 """Rank-revealing linear algebra with a single shared tolerance policy.
 
-Every rank decision in this package (pseudo-inverses, kernel and image
-bases, the split of a space into a column space and its orthogonal
-complement, feasibility of affine systems) goes through the routines in
-this module so that one `TolerancePolicy` controls them all.  Rank
-cutoffs follow the usual SVD convention::
+Every rank decision in this package goes through one of two entry
+points, so that one `TolerancePolicy` controls them all:
+:func:`rank_of`, from singular values alone, and :func:`ranked_svd`,
+one SVD whose :class:`RankedSvd` gives the image, its orthogonal
+complement, the kernel, the pseudo-inverse and the solution of an
+affine system ``F x = g`` with its feasibility.  Rank cutoffs follow
+the usual SVD convention::
 
     cutoff = rank_rel_tol * max(rows, cols) * sigma_max
 
-Orthonormal bases returned by :func:`kernel_basis`, :func:`image_basis`
-and :func:`orthogonal_split` are made deterministic by a sign
-convention: each basis column is flipped so that its entry of largest
-magnitude (first such entry on ties) is positive.  Repeated calls on
-identical input therefore produce identical output, which the reporting
-layer relies on.
+The orthonormal bases are made deterministic by a sign convention:
+each basis column is flipped so that its entry of largest magnitude
+(first such entry on ties) is positive.  Repeated calls on identical
+input therefore produce identical output, which the reporting layer
+relies on.
 
 Norm checks whose only output is a pass or a fail go through
 :func:`norm_exceeds`, which settles most of them from Frobenius and
@@ -119,126 +120,83 @@ def rank_of(M, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return int(np.sum(s > _svd_cutoff(s, A.shape, pol)))
 
 
-def _pinv_from_svd(U, s, Vt, shape, pol):
-    """The pseudo-inverse from the leading ``len(s)`` singular vectors."""
-    k = len(s)
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s),
-                      where=s > _svd_cutoff(s, shape, pol))
-    return (Vt[:k].T * s_inv) @ U[:, :k].T
+@dataclass(frozen=True, slots=True)
+class RankedSvd:
+    """An SVD ``M = U diag(s) Vt`` and the rank the policy cutoff gives
+    it; the bases, the pseudo-inverse and the affine solve are read off
+    this one factorisation.
 
-
-def _full_svd(A, pol):
-    """(U, s, Vt, r): the full SVD of a non-empty A and its rank."""
-    U, s, Vt = np.linalg.svd(A)
-    return U, s, Vt, int(np.sum(s > _svd_cutoff(s, A.shape, pol)))
-
-
-def pseudo_inverse(M, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with policy-controlled rank cutoff.
-
-    Singular values at or below ``rank_rel_tol * max(shape) * sigma_max``
-    are treated as zero, so the result is the pseudo-inverse of the
-    nearest rank-truncated matrix.
+    A matrix with no rows or no columns has identity singular bases and
+    rank 0.  Of a thin factorisation (``full=False``) only the bases it
+    holds whole can be read: :attr:`kernel` needs a square ``Vt`` and
+    :attr:`complement` a square ``U``.
     """
+
+    M: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    rank: int
+
+    @property
+    def image(self) -> np.ndarray:
+        """Orthonormal basis ``(rows, rank)`` of the column space."""
+        return _fix_signs(self.U[:, :self.rank])
+
+    @property
+    def complement(self) -> np.ndarray:
+        """Orthonormal basis ``(rows, rows - rank)`` of the orthogonal
+        complement of the column space; ``[image complement]`` is
+        orthogonal."""
+        return _fix_signs(_whole(self.U, "complement")[:, self.rank:])
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis ``(cols, cols - rank)`` of the (right) null
+        space."""
+        return _fix_signs(_whole(self.Vt, "kernel")[self.rank:].T)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudo-inverse of the rank-``rank`` truncation:
+        singular values at or below the cutoff count as zero."""
+        k = len(self.s)
+        s_inv = np.zeros_like(self.s)
+        s_inv[:self.rank] = 1.0 / self.s[:self.rank]
+        return (self.Vt[:k].T * s_inv) @ self.U[:, :k].T
+
+    def solve(self, g, pol: TolerancePolicy = DEFAULT_POLICY):
+        """Solve ``M x = g`` in the least-squares sense.
+
+        Returns ``(particular, feasible)``: the minimum-norm
+        least-squares solution ``M^+ g``, whose solution set when
+        feasible is ``particular + ker M``, and whether
+        ``||M particular - g|| <= residual_tol * (1 + ||g||)``.
+        """
+        A, b = self.M, _as_vector(g, "g")
+        if A.shape[0] != b.shape[0]:
+            raise DimensionMismatchError(
+                f"F has {A.shape[0]} rows but g has {b.shape[0]} entries")
+        particular = self.pinv @ b
+        residual = np.linalg.norm(A @ particular - b) if A.shape[0] else 0.0
+        return particular, bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(b)))
+
+
+def _whole(basis, name):
+    if basis.shape[0] != basis.shape[1]:
+        raise ValueError(f"the {name} needs the full factorisation "
+                         "(ranked_svd with full=True)")
+    return basis
+
+
+def ranked_svd(M, pol: TolerancePolicy = DEFAULT_POLICY, full: bool = True) -> RankedSvd:
+    """The SVD of M, full or thin, with its rank under the policy cutoff
+    (see :class:`RankedSvd`)."""
     A = _as_matrix(M)
     if 0 in A.shape:
-        return np.zeros((A.shape[1], A.shape[0]))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return _pinv_from_svd(U, s, Vt, A.shape, pol)
-
-
-def kernel_basis(M, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Orthonormal basis of the (right) null space, deterministic signs.
-
-    Returns an ``(cols, k)`` array; ``k == cols - rank_of(M)``.  A matrix
-    with zero rows has full kernel and returns the identity.
-    """
-    A = _as_matrix(M)
-    if 0 in A.shape:
-        return np.eye(A.shape[1])
-    _, _, Vt, r = _full_svd(A, pol)
-    return _fix_signs(Vt[r:].T)
-
-
-def orthogonal_split(M, pol: TolerancePolicy = DEFAULT_POLICY):
-    """Orthonormal bases of the column space of M and of its orthogonal
-    complement, from one full SVD, deterministic signs.
-
-    Returns ``(image, complement)`` of shapes ``(rows, r)`` and
-    ``(rows, rows - r)`` with ``r == rank_of(M)``; ``[image complement]``
-    is orthogonal.
-    """
-    A = _as_matrix(M)
-    if 0 in A.shape:
-        return np.zeros((A.shape[0], 0)), np.eye(A.shape[0])
-    U, _, _, r = _full_svd(A, pol)
-    return _fix_signs(U[:, :r]), _fix_signs(U[:, r:])
-
-
-def image_basis(M, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Orthonormal basis of the column space, deterministic signs.
-
-    Returns an ``(rows, r)`` array with ``r == rank_of(M)``.
-    """
-    return orthogonal_split(M, pol)[0]
-
-
-def image_and_kernel(M, pol: TolerancePolicy = DEFAULT_POLICY):
-    """``(image_basis(M), kernel_basis(M))``, byte for byte, from one
-    full SVD."""
-    A = _as_matrix(M)
-    if 0 in A.shape:
-        return np.zeros((A.shape[0], 0)), np.eye(A.shape[1])
-    U, _, Vt, r = _full_svd(A, pol)
-    return _fix_signs(U[:, :r]), _fix_signs(Vt[r:].T)
-
-
-def _affine_args(F, g):
-    A = _as_matrix(F, "F")
-    b = _as_vector(g, "g")
-    if A.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"F has {A.shape[0]} rows but g has {b.shape[0]} entries")
-    return A, b
-
-
-def _feasible(A, particular, b, pol) -> bool:
-    residual = np.linalg.norm(A @ particular - b) if A.shape[0] else 0.0
-    return bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(b)))
-
-
-def solve_affine(F, g, pol: TolerancePolicy = DEFAULT_POLICY):
-    """Solve ``F x = g`` in the least-squares sense, with feasibility flag.
-
-    Returns
-    -------
-    particular : ndarray
-        Minimum-norm least-squares solution ``F^+ g``; when feasible,
-        the full solution set is ``particular + ker F``
-        (:func:`kernel_basis` gives a basis).
-    feasible : bool
-        True when ``||F @ particular - g|| <= residual_tol * (1 + ||g||)``.
-    """
-    A, b = _affine_args(F, g)
-    particular = pseudo_inverse(A, pol) @ b
-    return particular, _feasible(A, particular, b, pol)
-
-
-def affine_solution_set(F, g, pol: TolerancePolicy = DEFAULT_POLICY):
-    """:func:`solve_affine` together with :func:`kernel_basis` of F,
-    from one full SVD of F: ``(particular, feasible, kernel)``.
-
-    For square F the full and the thin SVD agree, and all three outputs
-    equal those of the two functions byte for byte.
-    """
-    A, b = _affine_args(F, g)
-    if 0 in A.shape:
-        particular, kernel = np.zeros(A.shape[1]), np.eye(A.shape[1])
-    else:
-        U, s, Vt, r = _full_svd(A, pol)
-        particular = _pinv_from_svd(U, s, Vt, A.shape, pol) @ b
-        kernel = _fix_signs(Vt[r:].T)
-    return particular, _feasible(A, particular, b, pol), kernel
+        return RankedSvd(A, np.eye(A.shape[0]), np.zeros(0), np.eye(A.shape[1]), 0)
+    U, s, Vt = np.linalg.svd(A, full_matrices=full)
+    return RankedSvd(A, U, s, Vt, int(np.count_nonzero(s > _svd_cutoff(s, A.shape, pol))))
 
 
 def matrix_norm(M) -> float:

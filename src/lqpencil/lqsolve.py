@@ -46,10 +46,8 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _as_vector,
-    affine_solution_set,
-    kernel_basis,
     matrix_norm,
-    solve_affine,
+    ranked_svd,
 )
 from .model import LqProblem, evaluate_cost, validate
 from .pencil import DecompositionError, PencilDecomposition, reachability_decomposition
@@ -221,7 +219,7 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
         unchanged.
     reachable : bool
         Whether the required endpoint displacement lies in im R1, by
-        the feasibility rule of :func:`solve_affine`.
+        the feasibility rule of :meth:`~lqpencil.linalg.RankedSvd.solve`.
 
     Raises
     ------
@@ -240,7 +238,7 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
         target_norm = np.linalg.norm(target)
     if not np.isfinite(target_norm):
         raise DecompositionError("steering target is not finite")
-    u_stack, reachable = solve_affine(R1, target, pol)
+    u_stack, reachable = ranked_svd(R1, pol, full=False).solve(target, pol)
     return u_stack, R1, reachable
 
 
@@ -279,7 +277,7 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     ends = np.vstack([x0, xT])
     turn = np.vstack([X @ x0 - l0, lT - X @ xT])    # [lambda(0); -lambda(T)]
 
-    K = kernel_basis(bd.V, pol)
+    K = ranked_svd(bd.V, pol).kernel
     F = np.vstack([bd.V @ ends, K.T @ (bd.H @ ends + turn)])
     g = np.concatenate([bd.v, K.T @ bd.H @ np.concatenate([bd.h0, bd.hT])])
     return F, g
@@ -359,8 +357,7 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     data_scale = 1.0 + max(matrix_norm(tr.A), matrix_norm(tr.B),
                            matrix_norm(tr.pi), matrix_norm(bd.H),
                            matrix_norm(bd.V))
-    traj_scale = 1.0 + max(np.max(np.abs(xs)), np.max(np.abs(lams)),
-                           np.max(np.abs(us)) if us.size else 0.0)
+    traj_scale = 1.0 + max(np.max(np.abs(W), initial=0.0) for W in (xs, lams, us))
     scale = data_scale * traj_scale
     worst = max(dyn, con, cos, inp, tv)
     return StationarityReport(
@@ -426,7 +423,8 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
             f"horizon {T_h} is below the controllability index {dec.index}")
 
     F, g = assemble_boundary(problem, dec, pol)
-    chi, feasible, free_boundary = affine_solution_set(F, g, pol)
+    boundary = ranked_svd(F, pol)
+    chi, feasible = boundary.solve(g, pol)
     if not feasible:
         raise InfeasibleProblemError("boundary/transversality system is infeasible")
 
@@ -446,5 +444,5 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
     report = _stationarity(problem, xs, us, lams, pol)
     return LqSolution(
         x=xs, u=us, costate=lams, cost=evaluate_cost(problem, xs, us),
-        chi=chi, free_boundary=free_boundary, steering=steering,
+        chi=chi, free_boundary=boundary.kernel, steering=steering,
         residuals=report, r=r, m1=dec.m1, m2=dec.m2)

@@ -38,8 +38,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
-    _svd_cutoff,
-    solve_affine,
+    ranked_svd,
 )
 from .model import LqProblem
 
@@ -165,15 +164,6 @@ def flatten(problem: LqProblem) -> FlatQp:
                   n=n, m=m, horizon=T)
 
 
-def _row_space(Aeq, pol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal basis V1 (dim x rank) of the row space of Aeq, by a
-    thin SVD with the policy cutoff; ker Aeq is its complement."""
-    if not Aeq.shape[0]:
-        return np.zeros((Aeq.shape[1], 0))
-    _, s, Vt = np.linalg.svd(Aeq, full_matrices=False)
-    return Vt[:int(np.sum(s > _svd_cutoff(s, Aeq.shape, pol)))].T
-
-
 def _project(V1, x):
     """P x = x - V1 V1' x, the orthogonal projection onto ker Aeq."""
     return x - V1 @ (V1.T @ x)
@@ -211,10 +201,11 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
     feasible : bool
         Whether Aeq z = beq is solvable under the policy tolerance.
     """
-    z_f, feasible = solve_affine(qp.Aeq, qp.beq, pol)
+    svd = ranked_svd(qp.Aeq, pol, full=False)
+    z_f, feasible = svd.solve(qp.beq, pol)
     if not feasible:
         return z_f, qp.cost(z_f), False
-    V1 = _row_space(qp.Aeq, pol)
+    V1 = svd.Vt[:svd.rank].T     # orthonormal basis of the row space
     Gw = _reduced_hessian(qp.G, V1)
     bw = _project(V1, qp.b - qp.G @ z_f)
     # Minimum-norm least-squares solve at machine-precision rank cutoff:
@@ -234,4 +225,6 @@ def projected_gradient_norm(qp: FlatQp, z, pol: TolerancePolicy = DEFAULT_POLICY
     """Norm of the objective gradient projected onto ker Aeq at z;
     zero at any constrained minimizer."""
     grad = 2.0 * (qp.G @ np.asarray(z, dtype=float) - qp.b)
-    return float(np.linalg.norm(_project(_row_space(qp.Aeq, pol), grad)))
+    svd = ranked_svd(qp.Aeq, pol, full=False)
+    V1 = svd.Vt[:svd.rank].T
+    return float(np.linalg.norm(_project(V1, grad)))

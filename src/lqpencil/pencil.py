@@ -35,11 +35,10 @@ from .linalg import (
     DEFAULT_POLICY,
     DimensionMismatchError,
     TolerancePolicy,
-    kernel_basis,
     matrix_norm,
     norm_exceeds,
-    orthogonal_split,
     rank_of,
+    ranked_svd,
     subspace_distance,
 )
 from .model import PopovTriple
@@ -223,13 +222,13 @@ def _reachable_staging(A, B, pol):
         block = A @ block
         stack = np.hstack([stack, block])
         ranks.append(rank_of(stack, pol))
-    U1, U2 = orthogonal_split(stack, pol)
-    r = U1.shape[1]
+    svd = ranked_svd(stack, pol)
+    r = svd.rank
     # r and ranks[-1] rank the same stack by SVDs with and without
     # vectors, which may round apart; the whole stack has rank r.
     index = next((k for k, rank in enumerate(ranks) if rank >= r),
                  len(ranks) - 1)
-    return U1, U2, index
+    return svd.image, svd.complement, index
 
 
 def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
@@ -459,12 +458,11 @@ def check_solution_pair_invariants(c1: RiccatiCertificate, c2: RiccatiCertificat
     if not same:
         raise DimensionMismatchError("certificates come from different triples")
 
-    ker1 = kernel_basis(c1.R_X, pol)
-    ker2 = kernel_basis(c2.R_X, pol)
-    kernel_distance = subspace_distance(ker1, ker2)
-
     d1 = reachability_decomposition(c1, split_inputs(c1, pol), pol)
     d2 = reachability_decomposition(c2, split_inputs(c2, pol), pol)
+    ker1, ker2 = d1.split.T2, d2.split.T2     # ker R_X of each
+    kernel_distance = subspace_distance(ker1, ker2)
+
     W1 = d1.U[:, :d1.r]
     W2 = d2.U[:, :d2.r]
     reachable_distance = subspace_distance(W1, W2)
@@ -474,7 +472,7 @@ def check_solution_pair_invariants(c1: RiccatiCertificate, c2: RiccatiCertificat
 
     output_nulling_residual = max(matrix_norm(c1.C_X @ W1), matrix_norm(c2.C_X @ W2))
 
-    inter1 = kernel_basis(np.vstack([c1.X @ s1.B, s1.R]), pol)
+    inter1 = ranked_svd(np.vstack([c1.X @ s1.B, s1.R]), pol).kernel
     kernel_intersection_distance = subspace_distance(ker1, inter1)
 
     passed = all(val <= pol.eig_match_tol for val in (

@@ -31,11 +31,10 @@ from .linalg import (
     DimensionMismatchError,
     TolerancePolicy,
     _as_matrix,
-    image_and_kernel,
     matrix_norm,
     norm_exceeds,
-    pseudo_inverse,
     rank_of,
+    ranked_svd,
 )
 from .model import PopovTriple, factor_cost
 
@@ -85,7 +84,7 @@ def _derived(sigma: PopovTriple, X, pol):
     S_X = sigma.A.T @ X @ sigma.B + sigma.S
     R_X = sigma.R + sigma.B.T @ X @ sigma.B
     R_X = 0.5 * (R_X + R_X.T)
-    return S_X, R_X, pseudo_inverse(R_X, pol)
+    return S_X, R_X, ranked_svd(R_X, pol).pinv
 
 
 def _evaluate(sigma: PopovTriple, X, pol):
@@ -196,7 +195,8 @@ def split_inputs(cert: RiccatiCertificate, pol: TolerancePolicy = DEFAULT_POLICY
     complements and [T1 T2] is orthogonal by construction.
     """
     R_X = cert.R_X
-    T1, T2 = image_and_kernel(R_X, pol)
+    svd = ranked_svd(R_X, pol)
+    T1, T2 = svd.image, svd.kernel
     R_X0 = T1.T @ R_X @ T1
     return InputSplit(T1=T1, T2=T2, R_X0=0.5 * (R_X0 + R_X0.T),
                       B1=cert.sigma.B @ T1, B2=cert.sigma.B @ T2)

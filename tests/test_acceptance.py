@@ -43,7 +43,7 @@ from lqpencil.fixtures import (
     singular_riccati_solution,
     singular_triple,
 )
-from lqpencil.linalg import kernel_basis, rank_of
+from lqpencil.linalg import rank_of, ranked_svd
 from lqpencil.lqsolve import (
     endpoint_gramian,
     solve_with_decomposition,
@@ -552,7 +552,7 @@ def _struct_z_span(problem, dec, sol):
         return np.concatenate([xs[0], us.reshape(-1)])
 
     z0 = flat(sol.chi)
-    free_control = kernel_basis(sol.steering)
+    free_control = ranked_svd(sol.steering).kernel
     cols = [flat(sol.chi, free_control[:, k]) - z0
             for k in range(free_control.shape[1])]
     cols += [flat(sol.chi + sol.free_boundary[:, k]) - z0
@@ -587,7 +587,7 @@ def test_criterion7_stationarity_and_perturbations():
         n = problem.triple.n
         z_star = np.concatenate([sol.x[0], sol.u.reshape(-1)])
         base_cost = qp.cost(z_star)
-        Z = kernel_basis(qp.Aeq)
+        Z = ranked_svd(qp.Aeq).kernel
         g_max = float(np.abs(qp.G).max()) if qp.G.size else 0.0
         tol_dj = 1e-8 * (1 + abs(base_cost) + g_max)
         span = None

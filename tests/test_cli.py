@@ -232,6 +232,22 @@ def test_reports_are_byte_identical(problem_path, tmp_path, capsys):
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_solve_without_state_matches_oracle(tmp_path, capsys):
+    # n = 0: every trajectory array is empty; one regular and one free
+    # input, both optimal at zero.
+    path = tmp_path / "stateless.json"
+    path.write_text(json.dumps({
+        "n": 0, "m": 2, "q": 0, "T": 3, "A": [], "B": [], "Q": [], "S": [],
+        "R": [[1.0, 0.0], [0.0, 0.0]], "H": [], "h0": [], "hT": []}))
+    code, out = run_cli(["solve", "--problem", str(path)], capsys)
+    assert code == EXIT_OK
+    solution = last_json(out)["solution"]
+    assert solution["cost"] == 0.0
+    code, out = run_cli(["oracle", "--problem", str(path)], capsys)
+    assert code == EXIT_OK
+    assert last_json(out)["cost"] == solution["cost"]
+
+
 def test_infeasible_problem_exit_code(tmp_path, capsys):
     triple = PopovTriple([[0.5]], [[0.0]], [[1.0]], [[0.0]], [[1.0]])
     bd = BoundarySpec(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),

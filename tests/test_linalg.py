@@ -1,5 +1,5 @@
-"""Rank-revealing primitives: pseudo-inverse, kernel/image bases and
-affine solves."""
+"""Rank-revealing primitives: the rank, and the pseudo-inverse,
+kernel/image bases and affine solves read off one ranked SVD."""
 
 import warnings
 
@@ -9,16 +9,10 @@ import pytest
 from lqpencil import DimensionMismatchError, NonFiniteMatrixError, TolerancePolicy
 from lqpencil import linalg
 from lqpencil.linalg import (
-    affine_solution_set,
-    image_and_kernel,
-    image_basis,
-    kernel_basis,
     matrix_norm,
     norm_exceeds,
-    orthogonal_split,
-    pseudo_inverse,
     rank_of,
-    solve_affine,
+    ranked_svd,
     subspace_distance,
 )
 
@@ -40,18 +34,18 @@ def test_nonfinite_input_rejected():
     with pytest.raises(NonFiniteMatrixError):
         rank_of(bad)
     with pytest.raises(NonFiniteMatrixError):
-        pseudo_inverse(np.array([[np.inf]]))
+        ranked_svd(np.array([[np.inf]]))
 
 
 def test_pseudo_inverse_diagonal():
     M = np.diag([2.0, 0.0])
-    np.testing.assert_allclose(pseudo_inverse(M), np.diag([0.5, 0.0]),
+    np.testing.assert_allclose(ranked_svd(M).pinv, np.diag([0.5, 0.0]),
                                atol=1e-14)
 
 
 def test_pseudo_inverse_rank_one():
     M = np.ones((2, 2))
-    np.testing.assert_allclose(pseudo_inverse(M), 0.25 * np.ones((2, 2)),
+    np.testing.assert_allclose(ranked_svd(M).pinv, 0.25 * np.ones((2, 2)),
                                atol=1e-14)
 
 
@@ -59,11 +53,12 @@ def test_pseudo_inverse_penrose_properties():
     rng = np.random.default_rng(5)
     for _ in range(20):
         M = rng.normal(size=(5, 3))
-        Mp = pseudo_inverse(M)
-        np.testing.assert_allclose(M @ Mp @ M, M, atol=1e-12)
-        np.testing.assert_allclose(Mp @ M @ Mp, Mp, atol=1e-12)
-        np.testing.assert_allclose(M @ Mp, (M @ Mp).T, atol=1e-12)
-        np.testing.assert_allclose(Mp @ M, (Mp @ M).T, atol=1e-12)
+        for full in (True, False):
+            Mp = ranked_svd(M, full=full).pinv
+            np.testing.assert_allclose(M @ Mp @ M, M, atol=1e-12)
+            np.testing.assert_allclose(Mp @ M @ Mp, Mp, atol=1e-12)
+            np.testing.assert_allclose(M @ Mp, (M @ Mp).T, atol=1e-12)
+            np.testing.assert_allclose(Mp @ M, (Mp @ M).T, atol=1e-12)
 
 
 def test_rank_examples():
@@ -81,7 +76,7 @@ def test_rank_complex_matrix():
 
 def test_kernel_basis_orthonormal_and_annihilating():
     M = np.ones((2, 2))
-    K = kernel_basis(M)
+    K = ranked_svd(M).kernel
     assert K.shape == (2, 1)
     np.testing.assert_allclose(M @ K, 0.0, atol=1e-14)
     np.testing.assert_allclose(K.T @ K, np.eye(1), atol=1e-14)
@@ -90,13 +85,13 @@ def test_kernel_basis_orthonormal_and_annihilating():
 
 
 def test_kernel_basis_of_empty_row_matrix_is_identity():
-    K = kernel_basis(np.zeros((0, 4)))
+    K = ranked_svd(np.zeros((0, 4))).kernel
     np.testing.assert_allclose(K, np.eye(4))
 
 
 def test_image_basis_span():
     M = np.ones((2, 2))
-    U = image_basis(M)
+    U = ranked_svd(M).image
     assert U.shape == (2, 1)
     np.testing.assert_allclose(np.abs(U[:, 0]), [1 / np.sqrt(2)] * 2,
                                atol=1e-14)
@@ -112,8 +107,9 @@ def test_kernel_image_dimensions_add_up():
         M = (rng.normal(size=(rows, rk)) @ rng.normal(size=(rk, cols))
              if rk else np.zeros((rows, cols)))
         assert rank_of(M) == rk
-        K = kernel_basis(M)
-        U = image_basis(M)
+        svd = ranked_svd(M)
+        assert svd.rank == rk
+        K, U = svd.kernel, svd.image
         assert K.shape == (cols, cols - rk)
         assert U.shape == (rows, rk)
         np.testing.assert_allclose(M @ K, 0.0, atol=1e-10)
@@ -124,12 +120,14 @@ def test_kernel_image_dimensions_add_up():
 
 def test_orthogonal_split():
     B = np.array([[1.0], [0.0], [0.0]])
-    image, C = orthogonal_split(B)
-    assert image.tobytes() == image_basis(B).tobytes()
+    svd = ranked_svd(B)
+    image, C = svd.image, svd.complement
+    np.testing.assert_allclose(image, B, atol=1e-14)
     assert C.shape == (3, 2)
     np.testing.assert_allclose(B.T @ C, 0.0, atol=1e-14)
     np.testing.assert_allclose(C.T @ C, np.eye(2), atol=1e-14)
-    image, full = orthogonal_split(np.zeros((3, 0)))
+    svd = ranked_svd(np.zeros((3, 0)))
+    image, full = svd.image, svd.complement
     assert image.shape == (3, 0)
     assert full.shape == (3, 3)
     np.testing.assert_allclose(full.T @ full, np.eye(3), atol=1e-14)
@@ -139,10 +137,10 @@ def test_basis_determinism():
     rng = np.random.default_rng(2)
     M = rng.normal(size=(4, 6))
     M[:, 3:] = 0.0
-    a, b = kernel_basis(M), kernel_basis(M.copy())
-    assert a.tobytes() == b.tobytes()
-    c, d = image_basis(M), image_basis(M.copy())
-    assert c.tobytes() == d.tobytes()
+    for name in ("image", "complement", "kernel", "pinv"):
+        a = getattr(ranked_svd(M), name)
+        b = getattr(ranked_svd(M.copy()), name)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_solve_affine_square_invertible():
@@ -152,19 +150,21 @@ def test_solve_affine_square_invertible():
                   [1.0, 0.0, 1.0, 0.0],
                   [0.0, 1.0, 0.0, 0.0]])
     g = np.array([0.0, 0.0, 1.0, 2.0])
-    x, feasible = solve_affine(F, g)
+    svd = ranked_svd(F)
+    x, feasible = svd.solve(g)
     assert feasible
-    assert kernel_basis(F).shape == (4, 0)
+    assert svd.kernel.shape == (4, 0)
     np.testing.assert_allclose(x, [0.5, 2.0, 0.5, 2.0], atol=1e-12)
 
 
 def test_solve_affine_underdetermined_min_norm():
     F = np.array([[1.0, 1.0]])
     g = np.array([2.0])
-    x, feasible = solve_affine(F, g)
+    svd = ranked_svd(F)
+    x, feasible = svd.solve(g)
     assert feasible
     np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-    ns = kernel_basis(F)
+    ns = svd.kernel
     assert ns.shape == (2, 1)
     np.testing.assert_allclose(F @ ns, 0.0, atol=1e-14)
 
@@ -172,16 +172,19 @@ def test_solve_affine_underdetermined_min_norm():
 def test_solve_affine_infeasible():
     F = np.array([[1.0, 0.0], [1.0, 0.0]])
     g = np.array([0.0, 1.0])
-    _, feasible = solve_affine(F, g)
+    _, feasible = ranked_svd(F).solve(g)
     assert not feasible
+    with pytest.raises(DimensionMismatchError):
+        ranked_svd(F).solve(np.zeros(3))
 
 
 def test_solve_affine_empty_system_is_feasible():
     F = np.zeros((0, 3))
-    x, feasible = solve_affine(F, np.zeros(0))
+    svd = ranked_svd(F)
+    x, feasible = svd.solve(np.zeros(0))
     assert feasible
     np.testing.assert_allclose(x, np.zeros(3))
-    assert kernel_basis(F).shape == (3, 3)
+    assert svd.kernel.shape == (3, 3)
 
 
 def test_solve_affine_consistency_random():
@@ -192,11 +195,14 @@ def test_solve_affine_consistency_random():
         F = rng.normal(size=(rows, cols))
         z = rng.normal(size=cols)
         g = F @ z
-        x, feasible = solve_affine(F, g)
-        assert feasible
-        np.testing.assert_allclose(F @ x, g, atol=1e-10)
-        # particular solution is orthogonal to the kernel (min-norm)
-        np.testing.assert_allclose(kernel_basis(F).T @ x, 0.0, atol=1e-10)
+        kernel = ranked_svd(F).kernel
+        # the thin and the full factorisation solve alike
+        for full in (True, False):
+            x, feasible = ranked_svd(F, full=full).solve(g)
+            assert feasible
+            np.testing.assert_allclose(F @ x, g, atol=1e-10)
+            # particular solution is orthogonal to the kernel (min-norm)
+            np.testing.assert_allclose(kernel.T @ x, 0.0, atol=1e-10)
 
 
 def test_matrix_norm():
@@ -305,38 +311,41 @@ def test_norm_exceeds_screens_clear_decisions(monkeypatch):
     assert want == {1e-12: False, 1e-4: True}
 
 
-def test_single_svd_bases_equal_the_separate_rules():
-    rng = np.random.default_rng(11)
-    for k in range(60):
-        n = int(rng.integers(1, 8))
-        F = rng.normal(size=(n, n))
-        if k % 2 and n > 1:
-            F[-1] = 2.0 * F[0]
-        g = F @ rng.normal(size=n) if k % 3 else rng.normal(size=n)
-        particular, feasible, kernel = affine_solution_set(F, g)
-        want_particular, want_feasible = solve_affine(F, g)
-        want_kernel = kernel_basis(F)
-        assert particular.tobytes() == want_particular.tobytes()
-        assert feasible == want_feasible
-        assert kernel.shape == want_kernel.shape
-        assert kernel.tobytes() == want_kernel.tobytes()
-        image, kernel = image_and_kernel(F.T @ F)
-        assert image.tobytes() == image_basis(F.T @ F).tobytes()
-        assert kernel.tobytes() == kernel_basis(F.T @ F).tobytes()
-    for M in (np.zeros((0, 3)), np.zeros((2, 0))):
-        image, kernel = image_and_kernel(M)
-        np.testing.assert_array_equal(image, image_basis(M))
-        np.testing.assert_array_equal(kernel, kernel_basis(M))
-    particular, feasible, kernel = affine_solution_set(np.zeros((0, 2)), [])
-    assert feasible and particular.shape == (2,)
-    np.testing.assert_array_equal(kernel, np.eye(2))
-    # a non-square F keeps the meaning, if not the bytes
-    F = rng.normal(size=(2, 4))
-    g = rng.normal(size=2)
-    particular, feasible, kernel = affine_solution_set(F, g)
-    assert feasible
-    np.testing.assert_allclose(particular, solve_affine(F, g)[0], atol=1e-12)
-    assert subspace_distance(kernel, kernel_basis(F)) < 1e-12
+def test_ranked_svd_of_empty_matrices():
+    # No rows or no columns: identity singular bases and rank 0.
+    for rows, cols in ((0, 3), (2, 0), (0, 0)):
+        for full in (True, False):
+            svd = ranked_svd(np.zeros((rows, cols)), full=full)
+            assert svd.rank == 0
+            assert svd.image.shape == (rows, 0)
+            np.testing.assert_array_equal(svd.complement, np.eye(rows))
+            np.testing.assert_array_equal(svd.kernel, np.eye(cols))
+            np.testing.assert_array_equal(svd.pinv, np.zeros((cols, rows)))
+            x, feasible = svd.solve(np.zeros(rows))
+            assert feasible
+            np.testing.assert_array_equal(x, np.zeros(cols))
+    # with no columns only g = 0 is reached
+    _, feasible = ranked_svd(np.zeros((2, 0))).solve([1.0, 0.0])
+    assert not feasible
+
+
+def test_thin_factorisation_refuses_incomplete_bases():
+    # A thin SVD of a wide matrix lacks kernel vectors and one of a tall
+    # matrix lacks complement vectors; the bases it holds whole match
+    # the full factorisation's.
+    rng = np.random.default_rng(19)
+    wide = np.outer(rng.normal(size=2), rng.normal(size=4))    # rank 1
+    thin, full = ranked_svd(wide, full=False), ranked_svd(wide)
+    with pytest.raises(ValueError, match="kernel"):
+        thin.kernel
+    assert subspace_distance(thin.complement, full.complement) < 1e-12
+    assert subspace_distance(thin.image, full.image) < 1e-12
+    tall = wide.T
+    thin, full = ranked_svd(tall, full=False), ranked_svd(tall)
+    with pytest.raises(ValueError, match="complement"):
+        thin.complement
+    assert subspace_distance(thin.kernel, full.kernel) < 1e-12
+    assert subspace_distance(thin.image, full.image) < 1e-12
 
 
 def test_subspace_distance():
@@ -345,7 +354,7 @@ def test_subspace_distance():
     assert subspace_distance(e1, e1) == pytest.approx(0.0, abs=1e-14)
     assert subspace_distance(e1, e2) == pytest.approx(1.0)
     # same span reached through a different orthonormal representative
-    assert subspace_distance(e1, image_basis(3.0 * e1)) == \
+    assert subspace_distance(e1, ranked_svd(3.0 * e1).image) == \
         pytest.approx(0.0, abs=1e-14)
     with pytest.raises(DimensionMismatchError):
         subspace_distance(e1, np.zeros((3, 1)))

@@ -30,7 +30,7 @@ from lqpencil.fixtures import (
     cyclic_problem,
     singular_riccati_solution,
 )
-from lqpencil.linalg import kernel_basis, rank_of, solve_affine
+from lqpencil.linalg import matrix_norm, rank_of, ranked_svd
 from lqpencil.lqsolve import (
     _steering_stacks,
     _sweep,
@@ -259,7 +259,7 @@ def test_free_control_steering_order():
     assert reachable
     np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(R1, [[1.0, 2.0]], atol=1e-14)
-    assert kernel_basis(R1).shape == (2, 1)
+    assert ranked_svd(R1).kernel.shape == (2, 1)
 
 
 def test_free_control_with_drift():
@@ -279,7 +279,7 @@ def test_free_control_minimum_norm_is_constant(sing_dec):
                                           np.zeros((4, 1)))
     assert reachable
     np.testing.assert_allclose(u, u[0] * np.ones(4), atol=1e-12)
-    assert kernel_basis(R1).shape == (4, 3)
+    assert ranked_svd(R1).kernel.shape == (4, 3)
 
 
 def test_free_control_unreachable_target():
@@ -293,9 +293,10 @@ def test_assemble_boundary_cyclic(cyclic, sing_dec):
     F, g = assemble_boundary(cyclic, sing_dec)
     assert F.shape == (4, 4)
     assert g.shape == (4,)
-    chi, feasible = solve_affine(F, g)
+    boundary = ranked_svd(F)
+    chi, feasible = boundary.solve(g)
     assert feasible
-    assert kernel_basis(F).shape == (4, 0)
+    assert boundary.kernel.shape == (4, 0)
     h1, h2 = 1.0, 2.0
     np.testing.assert_allclose(
         chi, [h1, h1, 2 * h2 / 3, 2 * h2 / 3], atol=1e-10)
@@ -315,7 +316,7 @@ def test_assemble_boundary_row_counts(sing_triple, sing_dec):
     F_free, g_free = assemble_boundary(free, sing_dec)
     assert F_free.shape == (4, 4)
     # no penalty, no constraint: every boundary direction is free
-    _, feasible = solve_affine(F_free, g_free)
+    _, feasible = ranked_svd(F_free).solve(g_free)
     assert feasible
 
 
@@ -382,7 +383,7 @@ def test_free_directions_preserve_cost_and_feasibility(cyclic, sing_cert,
                                                        sing_dec):
     sol = solve_problem(cyclic, sing_cert)
     A, B = cyclic.triple.A, cyclic.triple.B
-    free_control = kernel_basis(sol.steering)
+    free_control = ranked_svd(sol.steering).kernel
     for k in range(free_control.shape[1]):
         xs, us, _ = rebuild_trajectories(cyclic, sing_dec, sol.chi,
                                          0.37 * free_control[:, k])
@@ -567,9 +568,11 @@ def test_random_singular_instances_match_oracle(pol):
 
 
 def test_boundary_solution_set_is_the_separate_rules():
-    # chi, its feasibility and free_boundary come from one SVD of the
-    # square boundary matrix F, byte-equal to solve_affine and
-    # kernel_basis of F.
+    # chi is the minimum-norm solution of the square boundary system
+    # F chi = g, and free_boundary an orthonormal basis of ker F: chi
+    # solves it and is orthogonal to ker F, and the basis has 2n - rank F
+    # columns that F annihilates.  Endpoint constraints without a
+    # penalty (H = 0) leave ker F nontrivial.
     rng = np.random.default_rng(41)
     problems = [load_problem(bundled_problem_path())]
     while len(problems) < 25:
@@ -583,7 +586,15 @@ def test_boundary_solution_set_is_the_separate_rules():
             continue
         dec = reachability_decomposition(cert, split_inputs(cert))
         problems.append(attach_random_boundary(rng, triple, dec))
-    solved = 0
+    for _ in range(8):
+        triple = random_singular_triple(rng)
+        n = triple.n
+        q = int(rng.integers(1, n + 1))
+        problems.append(LqProblem(triple, 6, BoundarySpec(
+            rng.normal(size=(q, n)), rng.normal(size=(q, n)),
+            rng.normal(size=q), np.zeros((2 * n, 2 * n)),
+            np.zeros(n), np.zeros(n))))
+    solved = free = 0
     for p in problems:
         try:
             cert = iterate_grde(p.triple)
@@ -591,16 +602,17 @@ def test_boundary_solution_set_is_the_separate_rules():
             continue
         dec = reachability_decomposition(cert, split_inputs(cert))
         F, g = assemble_boundary(p, dec)
-        chi, feasible = solve_affine(F, g)
         try:
             sol = solve_with_decomposition(p, dec)
         except (InfeasibleProblemError, HorizonTooShortError):
-            assert not feasible or p.horizon < dec.index
             continue
-        assert feasible
-        assert sol.chi.tobytes() == chi.tobytes()
-        kernel = kernel_basis(F)
-        assert sol.free_boundary.shape == kernel.shape
-        assert sol.free_boundary.tobytes() == kernel.tobytes()
+        chi, K = sol.chi, sol.free_boundary
+        scale = 1e-10 * (1.0 + matrix_norm(F))
+        assert np.linalg.norm(F @ chi - g) <= 1e-8 * (1.0 + np.linalg.norm(g))
+        assert np.linalg.norm(K.T @ chi) <= scale * (1.0 + np.linalg.norm(chi))
+        assert K.shape == (2 * p.triple.n, 2 * p.triple.n - rank_of(F))
+        np.testing.assert_allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-12)
+        assert matrix_norm(F @ K) <= 100 * scale
         solved += 1
-    assert solved >= 20
+        free += K.shape[1] > 0
+    assert solved >= 25 and free >= 5

@@ -13,7 +13,7 @@ from lqpencil import (
     flatten,
     solve_flat,
 )
-from lqpencil.linalg import kernel_basis, solve_affine
+from lqpencil.linalg import ranked_svd
 from lqpencil.model import evaluate_cost
 from lqpencil.oracle import MAX_FLAT_VARIABLES, FlatQp, projected_gradient_norm
 
@@ -118,8 +118,8 @@ def test_oracle_minimizer_beats_random_feasible_points(cyclic):
     assert feasible
     assert cost == pytest.approx(8.0 / 3.0, abs=1e-9)
     assert projected_gradient_norm(qp, z_opt) <= 1e-9
-    z_f, _ = solve_affine(qp.Aeq, qp.beq)
-    Z = kernel_basis(qp.Aeq)
+    z_f, _ = ranked_svd(qp.Aeq, full=False).solve(qp.beq)
+    Z = ranked_svd(qp.Aeq).kernel
     for _ in range(100):
         z = z_f + Z @ rng.normal(size=Z.shape[1])
         assert qp.cost(z) >= cost - 1e-9
@@ -128,7 +128,7 @@ def test_oracle_minimizer_beats_random_feasible_points(cyclic):
 def test_projected_gradient_positive_off_optimum(cyclic):
     qp = flatten(cyclic)
     z_opt, _, _ = solve_flat(qp)
-    Z = kernel_basis(qp.Aeq)
+    Z = ranked_svd(qp.Aeq).kernel
     z_bad = z_opt + Z @ np.ones(Z.shape[1])
     assert projected_gradient_norm(qp, z_bad) > 1e-3
 
@@ -215,9 +215,9 @@ def stagewise_flatten(problem):
 def nullspace_solve(qp):
     """Test-side reference: the minimizer in an explicit orthonormal
     kernel basis Z of Aeq, minimum-norm in the reduced coordinates."""
-    z_f, feasible = solve_affine(qp.Aeq, qp.beq)
+    z_f, feasible = ranked_svd(qp.Aeq, full=False).solve(qp.beq)
     assert feasible
-    Z = kernel_basis(qp.Aeq)
+    Z = ranked_svd(qp.Aeq).kernel
     w, *_ = np.linalg.lstsq(Z.T @ qp.G @ Z, Z.T @ (qp.b - qp.G @ z_f),
                             rcond=None)
     return z_f + Z @ w
@@ -296,7 +296,7 @@ def test_solve_flat_matches_kernel_basis_reduction():
             continue
         np.testing.assert_allclose(z, z_ref, rtol=0, atol=tol)
         checked += 1
-        Z = kernel_basis(qp.Aeq)
+        Z = ranked_svd(qp.Aeq).kernel
         sv = np.linalg.svd(Z.T @ qp.G @ Z, compute_uv=False)
         non_unique += bool(sv.size) and sv[-1] <= 1e-12 * sv[0]
     assert checked >= 30 and non_unique >= 10

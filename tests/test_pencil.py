@@ -17,9 +17,8 @@ from lqpencil import (
     iterate_grde,
 )
 from lqpencil.linalg import (
-    image_basis,
-    kernel_basis,
     rank_of,
+    ranked_svd,
     subspace_distance,
 )
 from lqpencil import pencil
@@ -229,13 +228,13 @@ def staging_by_separate_rules(A, B, pol):
     blocks = [B]
     for _ in range(n - 1):
         blocks.append(A @ blocks[-1])
-    U1 = image_basis(np.hstack(blocks), pol)
+    U1 = ranked_svd(np.hstack(blocks), pol).image
     r = U1.shape[1]
     A11, blocks = U1.T @ A @ U1, [U1.T @ B]
     for _ in range(r - 1):
         blocks.append(A11 @ blocks[-1])
     ranks = [rank_of(np.hstack(blocks[:k]), pol) for k in range(1, r + 1)]
-    return U1, kernel_basis(U1.T, pol), ranks.index(r) + 1 if r else 0
+    return U1, ranked_svd(U1.T, pol).kernel, ranks.index(r) + 1 if r else 0
 
 
 def staging_pairs(rng):
