@@ -10,6 +10,10 @@ the usual SVD convention::
 
     cutoff = rank_rel_tol * max(rows, cols) * sigma_max
 
+The one rank decision outside the policy is the oracle's reduced solve,
+whose pivoted Cholesky stops at the machine-precision cutoff
+``oracle.CHOLESKY_RANK_TOL``.
+
 The orthonormal bases are made deterministic by a sign convention:
 each basis column is flipped so that its entry of largest magnitude
 (first such entry on ties) is positive.  Repeated calls on identical

@@ -19,9 +19,14 @@ one product per control column, T Python steps in all.
 
 The null-space step works through the row space V1 of Aeq, which has
 at most 2n rows; no basis of ker Aeq is formed.  With P = I - V1 V1' it
-solves P G P y = P r by one dense minimum-norm least-squares solve, in
-O(dim^3).  Since (PGP)^+ = Z (Z'GZ)^+ Z' for any orthonormal basis Z of
-ker Aeq, this is the minimum-norm solution in the reduced coordinates.
+solves P G P y = P r for the minimum-norm y: a pivoted Cholesky
+factorization of the reduced Hessian, in place, reveals its rank r in
+at most dim^3 / 3 flops, and a thin QR of the dim x r factor gives the
+minimum-norm solution in O(dim r^2) more (Hammarling, Higham and
+Lucas, PARA 2006; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 10).  Since (PGP)^+ = Z (Z'GZ)^+ Z' for any orthonormal
+basis Z of ker Aeq, this is the minimum-norm solution in the reduced
+coordinates.
 
 Limits: the oracle refuses more than 2000 decision variables
 (dim = n + m T); its solve is O(dim^3); and G carries the powers A^t, so
@@ -43,6 +48,14 @@ from .linalg import (
 from .model import LqProblem
 
 MAX_FLAT_VARIABLES = 2000
+# The reduced solve's rank cutoff, relative to the largest diagonal entry
+# of the reduced Hessian: the one rank decision not taken from the
+# TolerancePolicy.  The policy cutoff is relative to sigma_max and can
+# discard genuine small curvature directions of badly scaled instances,
+# so the cutoff sits at machine-precision scale.  LAPACK's default,
+# dim * eps, is above it and loses the minimum-norm optimum where small
+# curvature decides it.
+CHOLESKY_RANK_TOL = 1e-14
 
 
 class OracleSizeError(ValueError):
@@ -132,15 +145,17 @@ def flatten(problem: LqProblem) -> FlatQp:
         # of u(0..j-1) in x(j) are the last j blocks of C.
         C = F[::-1].transpose(1, 0, 2).reshape(n, T * m)
 
-        # The blocks above the diagonal, then their mirror, then the
+        # Each block above the diagonal with its mirror, then the
         # diagonal blocks.
         G = np.zeros((dim, dim))
-        Gxu = At[:T] @ K + H[:n, n:] @ F[::-1]
-        G[:n, n:] = Gxu.transpose(1, 0, 2).reshape(n, T * m)
+        Gxu = (At[:T] @ K + H[:n, n:] @ F[::-1]).transpose(1, 0, 2)
+        G[:n, n:] = Gxu.reshape(n, T * m)
+        G[n:, :n] = G[:n, n:].T
         for j in range(1, T):
             c = n + j * m
-            G[n:c, c:c + m] = C[:, (T - j) * m:].T @ K[j]
-        G += G.T
+            Guu = C[:, (T - j) * m:].T @ K[j]
+            G[n:c, c:c + m] = Guu
+            G[c:c + m, n:c] = Guu.T
         cross = H[:n, n:] @ Apow[T]
         Gxx = Y[T] + H[:n, :n] + cross + cross.T
         G[:n, :n] = 0.5 * (Gxx + Gxx.T)
@@ -170,8 +185,8 @@ def _project(V1, x):
 
 
 def _reduced_hessian(G, V1):
-    """P G P + s V1 V1' by one rank-2q update, s the largest diagonal
-    entry of P G P.
+    """P G P + s V1 V1' by one rank-2q update G - W1 W2', s the largest
+    diagonal entry of P G P; returns the matrix and W1, W2.
 
     P G P = G - V1 E0' - E0 V1' with E0 = G V1 - V1 (V1' G V1) / 2.  The
     update leaves rounding of the size eps*|G| in the row space of Aeq,
@@ -184,8 +199,42 @@ def _reduced_hessian(G, V1):
     E = GV1 - 0.5 * V1 @ (V1.T @ GV1)
     s = np.max(np.diag(G) - 2.0 * np.sum(V1 * E, axis=1))
     E -= 0.5 * s * V1
-    Gw = np.hstack([V1, E]) @ np.hstack([E, V1]).T
-    return np.subtract(G, Gw, out=Gw)
+    W1, W2 = np.hstack([V1, E]), np.hstack([E, V1])
+    Gw = W1 @ W2.T
+    return np.subtract(G, Gw, out=Gw), W1, W2
+
+
+def _min_norm_psd_solve(Gw, bw):
+    """Gw^+ bw for a symmetric PSD Gw, which is overwritten.
+
+    The pivoted Cholesky factorization Pi' Gw Pi = L L', Pi a
+    permutation, stops at the first pivot at or below
+    CHOLESKY_RANK_TOL * max(diag(Gw)) and leaves L dim x r.  With the
+    thin QR L = Q R, Gw^+ = Pi Q R^-T R^-1 Q' Pi'.  The QR overwrites the
+    first r columns of the factor, and Q is applied as Householder
+    reflections, never formed.
+    """
+    from scipy.linalg.lapack import dgeqrf, dormqr, dpstrf, dtrtrs
+
+    dim = Gw.shape[0]
+    w = np.zeros(dim)
+    # Gw is symmetric, so its transpose is the Fortran-ordered matrix.
+    c, piv, r, _ = dpstrf(Gw.T, tol=CHOLESKY_RANK_TOL * np.max(np.diag(Gw)),
+                          lower=1, overwrite_a=1)
+    if r == 0:
+        return w
+    L = c[:, :r]
+    L[:r][np.arange(r)[:, None] < np.arange(r)] = 0.0  # above the diagonal
+    lwork = int(dgeqrf(L, lwork=-1, overwrite_a=1)[2][0])  # workspace query
+    qr, tau, _, _ = dgeqrf(L, lwork=lwork, overwrite_a=1)
+    p = piv - 1
+    y, _, _ = dormqr("L", "T", qr, tau, bw[p, None], lwork, overwrite_c=1)
+    y[:r], _ = dtrtrs(qr, y[:r])
+    y[:r], _ = dtrtrs(qr, y[:r], trans=1)
+    y[r:] = 0.0
+    y, _, _ = dormqr("L", "N", qr, tau, y, lwork, overwrite_c=1)
+    w[p] = y[:, 0]
+    return w
 
 
 def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
@@ -206,13 +255,14 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
     if not feasible:
         return z_f, qp.cost(z_f), False
     V1 = svd.Vt[:svd.rank].T     # orthonormal basis of the row space
-    Gw = _reduced_hessian(qp.G, V1)
+    Gw, W1, W2 = _reduced_hessian(qp.G, V1)
     bw = _project(V1, qp.b - qp.G @ z_f)
-    # Minimum-norm least-squares solve at machine-precision rank cutoff:
-    # the policy cutoff is relative to sigma_max and can discard genuine
-    # small curvature directions of badly scaled instances.
-    w, *_ = np.linalg.lstsq(Gw, bw, rcond=None)
-    residual = np.linalg.norm(Gw @ w - bw)
+    # Minimum-norm solve at the machine-precision rank cutoff
+    # CHOLESKY_RANK_TOL, by pivoted Cholesky; Gw is overwritten, so the
+    # residual uses Gw w = G w - W1 W2' w.
+    w = _min_norm_psd_solve(Gw, bw)
+    del Gw
+    residual = np.linalg.norm(qp.G @ w - W1 @ (W2.T @ w) - bw)
     if residual > pol.residual_tol * (1.0 + np.linalg.norm(bw)) * 100:
         raise UnboundedObjectiveError(
             "reduced normal equations are inconsistent; "

@@ -2,7 +2,10 @@
 and the README quick start that uses them."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -62,3 +65,14 @@ def test_readme_quick_start(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert float(lines[0]) == pytest.approx(8.0 / 3.0, abs=1e-9)
+
+
+def test_import_is_numpy_only():
+    # The oracle imports its LAPACK wrappers at first use, so importing
+    # the package does not pay for importing scipy.
+    env = dict(os.environ, PYTHONPATH=str(Path(lqpencil.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lqpencil; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -15,7 +15,13 @@ from lqpencil import (
 )
 from lqpencil.linalg import ranked_svd
 from lqpencil.model import evaluate_cost
-from lqpencil.oracle import MAX_FLAT_VARIABLES, FlatQp, projected_gradient_norm
+from lqpencil.oracle import (
+    MAX_FLAT_VARIABLES,
+    FlatQp,
+    _min_norm_psd_solve,
+    _reduced_hessian,
+    projected_gradient_norm,
+)
 
 from conftest import random_regular_problem, random_singular_triple, simulate
 
@@ -107,6 +113,41 @@ def test_solve_flat_reports_infeasibility():
 def test_solve_flat_detects_linear_unboundedness():
     qp = FlatQp(G=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c0=0.0,
                 Aeq=np.zeros((0, 2)), beq=np.zeros(0), n=1, m=1, horizon=1)
+    with pytest.raises(UnboundedObjectiveError):
+        solve_flat(qp)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 6, 12])
+def test_min_norm_psd_solve_matches_pseudo_inverse(rank):
+    # Eigenvalues spread from 1 down to 1e-10: the kept directions have
+    # condition number 1e10, so the solution carries a relative error of
+    # about 1e10 * dim * eps, below 1e-4.
+    rng = np.random.default_rng(300 + rank)
+    dim = 12
+    U, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    lam = np.zeros(dim)
+    lam[:rank] = np.logspace(0, -10, rank)
+    Gw = (U * lam) @ U.T
+    Gw = 0.5 * (Gw + Gw.T)
+    bw = rng.normal(size=dim)
+    want = np.linalg.pinv(Gw) @ bw
+    got = _min_norm_psd_solve(Gw.copy(), bw)
+    assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+    if rank == 0:
+        assert not got.any()
+
+
+def test_solve_flat_detects_rank_deficient_inconsistency():
+    # G has rank 2 and ker Aeq dimension 4, so a generic b leaves the
+    # reduced system inconsistent with its rank between 0 and dim.
+    rng = np.random.default_rng(307)
+    X = rng.normal(size=(5, 2))
+    qp = FlatQp(G=X @ X.T, b=rng.normal(size=5), c0=0.0,
+                Aeq=rng.normal(size=(1, 5)), beq=np.ones(1), n=1, m=1,
+                horizon=4)
+    V1 = ranked_svd(qp.Aeq, full=False).Vt.T
+    rank = np.linalg.matrix_rank(_reduced_hessian(qp.G, V1)[0])
+    assert 0 < rank < qp.dim
     with pytest.raises(UnboundedObjectiveError):
         solve_flat(qp)
 
@@ -259,6 +300,7 @@ def test_condensed_flatten_matches_stagewise(n, m, T, q, rho, singular_R):
     assert (p.boundary.H[:n, n:] != 0).all()
     assert np.linalg.matrix_rank(p.triple.R) == (1 if singular_R else m)
     qp, ref = flatten(p), stagewise_flatten(p)
+    assert np.array_equal(qp.G, qp.G.T)
     for got, want in ((qp.G, ref.G), (qp.b, ref.b), (qp.Aeq, ref.Aeq)):
         scale = np.abs(want).max() if want.size else 0.0
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
