@@ -13,9 +13,9 @@ selftest        Run the bundled closed-form checks.
 
 Exit codes: 0 success, 1 selftest failure, 2 infeasible problem (or a
 horizon too short to decide feasibility), 3 no Riccati solution found
-or candidate rejected, 4 bad input (including a stage cost or endpoint
-penalty that is not symmetric positive semidefinite), 5 an internal
-consistency check of the pencil decomposition failed.
+or candidate rejected, 4 bad input (including a usage error, or a stage
+cost or endpoint penalty that is not symmetric positive semidefinite),
+5 an internal consistency check of the pencil decomposition failed.
 
 Reports are JSON with a fixed key order, so identical inputs produce
 byte-identical output.
@@ -374,8 +374,15 @@ def _emit(report: dict, code: int, out) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input, not argparse's exit 2 (infeasible)."""
+
+    def error(self, message):
+        raise _CliError(message, EXIT_BAD_INPUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lqpencil",
         description="Finite-horizon LQ control via symplectic-pencil "
                     "decomposition, with an independent QP oracle.")
@@ -394,7 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    return run(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        return run(_build_parser().parse_args(argv))
+    except _CliError as exc:  # a usage error: run() reports all others
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        return _emit(_error_report(command, exc.code, exc), exc.code, None)
 
 
 if __name__ == "__main__":

@@ -168,40 +168,15 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
     return P, A_done
 
 
-def _steering_stacks(dec: PencilDecomposition, horizon: int):
-    """Stacked operators of the reachable block over the horizon.
-
-    With time-reversed stacking Ustack = [u2(T-1); ...; u2(0)] and
-    Xi = [xi(T-1); ...; xi(0)] (xi(t) = A_X12 x2(t) + B11 u1(t)),
-
-        x1(T) = A_X11^T x1(0) + R1 Ustack + R2 Xi,
-
-    R1 = [B21 | A11 B21 | ... | A11^(T-1) B21],
-    R2 = [I | A11 | ... | A11^(T-1)].  Returns (R1, R2).
-
-    Raises
-    ------
-    DecompositionError
-        If the stacks are not finite (the powers of A_X11 overflow).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    r = dec.r
-    seed = np.zeros((horizon, r, r))
-    seed[0] = np.eye(r)
-    # An overflow is reported below, as non-finite steering rows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # row k of the scan is (A11^k)'
-        R2 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * r)
-        R1 = (R2.reshape(r, horizon, r) @ dec.B21).reshape(r, horizon * dec.m2)
-    if not (np.isfinite(R1).all() and np.isfinite(R2).all()):
-        raise DecompositionError("steering rows are not finite")
-    return R1, R2
-
-
 def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
                        xi_seq, pol: TolerancePolicy = DEFAULT_POLICY):
     """Minimum-norm stacked free inputs steering x1(0) to x1(T).
+
+    With time-reversed stacking Ustack = [u2(T-1); ...; u2(0)],
+    x1(T) = R1 Ustack + d.  The steering rows
+    R1 = [B21 | A11 B21 | ... | A11^(T-1) B21] come from one scan seeded
+    with B21', and d, the end of the drift x1(t+1) = A11 x1(t) + xi(t)
+    from x1(0), from one scan of xi.
 
     Parameters
     ----------
@@ -214,9 +189,8 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
         Time-reversed stack [u2(T-1); ...; u2(0)], the minimum-norm
         particular choice.
     steering : ndarray, shape (r, T * m2)
-        The steering rows R1 of :func:`_steering_stacks`; adding any
-        element of ker R1 leaves the whole optimal trajectory's cost
-        unchanged.
+        The steering rows R1; adding any element of ker R1 leaves the
+        whole optimal trajectory's cost unchanged.
     reachable : bool
         Whether the required endpoint displacement lies in im R1, by
         the feasibility rule of :meth:`~lqpencil.linalg.RankedSvd.solve`.
@@ -224,18 +198,23 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     Raises
     ------
     DecompositionError
-        If the steering rows (see :func:`_steering_stacks`) or the
-        required endpoint displacement, or its norm, are not finite.
+        If the steering rows (the powers of A_X11 overflow), or the
+        steering target x1(T) - d or its norm, are not finite.
     """
-    R1, R2 = _steering_stacks(dec, horizon)
+    r = dec.r
     x1_0 = _as_vector(x1_0, "x1_0")
     x1_T = _as_vector(x1_T, "x1_T")
-    xi = np.asarray(xi_seq, dtype=float).reshape(horizon, dec.r)
-    # An overflow is reported below, as a non-finite steering target.
+    xi = np.asarray(xi_seq, dtype=float).reshape(horizon, r)
+    seed = np.zeros((horizon, dec.m2, r))
+    seed[0] = dec.B21.T
+    # An overflow is reported below, as non-finite steering rows or target.
     with np.errstate(over="ignore", invalid="ignore"):
-        target = x1_T - np.linalg.matrix_power(dec.A_X11, horizon) @ x1_0 \
-            - R2 @ xi[::-1].reshape(-1)
+        # row k of the scan is (A11^k B21)'
+        R1 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * dec.m2)
+        target = x1_T - _scan(dec.A_X11, np.vstack([x1_0, xi]))[-1]
         target_norm = np.linalg.norm(target)
+    if not np.isfinite(R1).all():
+        raise DecompositionError("steering rows are not finite")
     if not np.isfinite(target_norm):
         raise DecompositionError("steering target is not finite")
     u_stack, reachable = ranked_svd(R1, pol, full=False).solve(target, pol)

@@ -107,7 +107,8 @@ def _triangular_rhs(cert: RiccatiCertificate, z) -> np.ndarray:
 
 def riccati_congruence(cert: RiccatiCertificate,
                        pol: TolerancePolicy = DEFAULT_POLICY):
-    """Unimodular transforms (U_X, V_X) that block-triangularize the pencil.
+    """Unimodular transforms (U_X, V_X) that block-triangularize the
+    pencil, with the products U_X N V_X and U_X M V_X.
 
     With X a CGDARE solution,
 
@@ -126,21 +127,15 @@ def riccati_congruence(cert: RiccatiCertificate,
 
     Returns
     -------
-    (U_X, V_X) : pair of ndarray
+    (U_X, V_X, U_X N V_X, U_X M V_X) : tuple of ndarray
 
     Raises
     ------
     DecompositionError
         If the residual exceeds that bound at z = 0 or z = 1.
     """
-    return _verified_congruence(cert, build_esp(cert.sigma), pol)[:2]
-
-
-def _verified_congruence(cert: RiccatiCertificate, esp: Pencil,
-                         pol: TolerancePolicy):
-    """:func:`riccati_congruence` on ``esp``, the pencil of cert.sigma;
-    returns (U_X, V_X, U_X N V_X, U_X M V_X)."""
     sigma = cert.sigma
+    esp = build_esp(sigma)
     n, m = sigma.n, sigma.m
     X, K_X, A_X = cert.X, cert.K_X, cert.A_X
     U_X = np.eye(2 * n + m)
@@ -293,7 +288,7 @@ def canonical_form(dec: PencilDecomposition,
         If the certificate's congruence fails its check (see
         :func:`riccati_congruence`).
     """
-    _, _, C_N, C_M = _verified_congruence(dec.cert, build_esp(dec.cert.sigma), pol)
+    _, _, C_N, C_M = riccati_congruence(dec.cert, pol)
     n, m = dec.n, dec.m1 + dec.m2
     L = np.zeros((2 * n + m, 2 * n + m))
     L[:n, :n] = dec.U

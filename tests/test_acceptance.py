@@ -476,7 +476,7 @@ def test_criterion6_structural_invariants():
     problems = []
     for k, rec in enumerate(_all_records()):
         dec, cert = rec["dec"], rec["cert"]
-        U_X, V_X = riccati_congruence(cert)
+        U_X, V_X, _, _ = riccati_congruence(cert)
         p = build_esp(dec.cert.sigma)
         for z in (0.0, 1.0):
             prod = U_X @ p.at(z) @ V_X

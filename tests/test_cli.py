@@ -364,6 +364,27 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("argv, command, error", [
+    (["solve", "--rank-tol", "abc"], "solve", "invalid float value: 'abc'"),
+    (["solve", "--bogus"], "solve", "unrecognized arguments: --bogus"),
+    ([], None, "the following arguments are required: command"),
+])
+def test_usage_error_is_bad_input(capsys, argv, command, error):
+    # argparse's own exit code 2 would read as an infeasible problem
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_BAD_INPUT
+    doc = last_json(out)
+    assert (doc["command"], doc["status"]) == (command, "bad-input")
+    assert error in doc["error"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-h"])
+    assert exc.value.code == EXIT_OK
+    assert "--problem" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("key, value, shapes", WRONG_SHAPES)
 def test_wrong_matrix_shape_is_bad_input(tmp_path, capsys, key, value, shapes):
     doc = three_input_document()

@@ -32,7 +32,6 @@ from lqpencil.fixtures import (
 )
 from lqpencil.linalg import matrix_norm, rank_of, ranked_svd
 from lqpencil.lqsolve import (
-    _steering_stacks,
     _sweep,
     assemble_boundary,
     control_free_param,
@@ -226,8 +225,8 @@ def test_endpoint_gramian_overflow_is_decomposition_error():
 
 def test_steering_stack_overflow_is_decomposition_error():
     # A = 3, B = 1: the powers of A_X11 = 3 overflow, in the steering rows
-    # from T = 1000 (3^999), in A_X11^T from T = 647, and in the norm of
-    # the steering target from T = 324 (3^324 squared)
+    # from T = 1000 (3^999), in the drift's A_X11^T x1(0) from T = 647,
+    # and in the norm of the steering target from T = 324 (3^324 squared)
     triple = PopovTriple([[3.0]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
     bd = BoundarySpec(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0),
                       np.eye(2), np.ones(1), np.ones(1))
@@ -242,13 +241,36 @@ def test_steering_stack_overflow_is_decomposition_error():
 
 
 def test_trajectory_param_stacks(sing_dec):
-    R1, R2 = _steering_stacks(sing_dec, 3)
+    _, R1, _ = control_free_param(sing_dec, 3, [0.0], [0.0], np.zeros((3, 1)))
     assert R1.shape == (1, 3)
-    assert R2.shape == (1, 3)
     b = sing_dec.B21[0, 0]
     # A_X11 = 1: all columns equal
     np.testing.assert_allclose(R1, [[b, b, b]], atol=1e-14)
-    np.testing.assert_allclose(R2, [[1.0, 1.0, 1.0]], atol=1e-14)
+
+
+@pytest.mark.parametrize("T", [1, 7, 60])
+@pytest.mark.parametrize("r, m2", [(0, 1), (1, 1), (3, 2), (4, 1), (2, 3)])
+def test_steering_rows_and_drift_match_power_sums(r, m2, T):
+    """R1 = [B21 | A11 B21 | ... | A11^(T-1) B21], and the returned inputs
+    reach x1(T) = R1 u + A11^T x1(0) + sum_t A11^(T-1-t) xi(t), with the
+    powers and sums formed here.  The target is drawn inside im R1, so
+    it is reachable even where R1 has fewer columns than rows."""
+    rng = np.random.default_rng(1000 * r + 100 * m2 + T)
+    dec = random_dec(rng, r, 2, 1, m2)
+    dec = dataclasses.replace(dec, A_X11=dec.A_X11 / np.sqrt(max(r, 1)))
+    power = np.linalg.matrix_power
+    A, x1_0, xi = dec.A_X11, rng.normal(size=r), rng.normal(size=(T, r))
+    rows = np.hstack([power(A, k) @ dec.B21 for k in range(T)])
+    drift = power(A, T) @ x1_0 + sum(power(A, T - 1 - t) @ xi[t]
+                                     for t in range(T))
+    x1_T = rows @ rng.normal(size=T * m2) + drift
+
+    u, R1, reachable = control_free_param(dec, T, x1_0, x1_T, xi)
+    assert reachable
+    assert (R1.shape, u.shape) == ((r, T * m2), (T * m2,))
+    scale = 1.0 + max(np.abs(W).max(initial=0.0) for W in (rows, drift, x1_T))
+    np.testing.assert_allclose(R1, rows, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(R1 @ u + drift, x1_T, rtol=0, atol=1e-10 * scale)
 
 
 def test_free_control_steering_order():

@@ -114,7 +114,7 @@ def test_esp_rank_running_example(sing_dec):
 
 
 def test_congruence_matches_hand_display(sing_cert):
-    U_X, V_X = riccati_congruence(sing_cert)
+    U_X, V_X, _, _ = riccati_congruence(sing_cert)
     p = build_esp(sing_cert.sigma)
 
     def display(z):
@@ -135,13 +135,13 @@ def test_congruence_matches_hand_display(sing_cert):
 def test_congruence_trivial_for_zero_solution():
     sigma = PopovTriple([[0.5]], [[1.0]], [[0.0]], [[0.0]], [[1.0]])
     cert = certify(sigma, [[0.0]])
-    U_X, V_X = riccati_congruence(cert)
+    U_X, V_X, _, _ = riccati_congruence(cert)
     np.testing.assert_array_equal(U_X, np.eye(3))
     np.testing.assert_array_equal(V_X, np.diag([1.0, -1.0, 1.0]))
 
 
 def test_congruence_units_are_unimodular(sing_cert):
-    U_X, V_X = riccati_congruence(sing_cert)
+    U_X, V_X, _, _ = riccati_congruence(sing_cert)
     assert abs(np.linalg.det(U_X)) == pytest.approx(1.0)
     assert abs(np.linalg.det(V_X)) == pytest.approx(1.0)
 
