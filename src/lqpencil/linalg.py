@@ -99,6 +99,11 @@ def _svd_cutoff(s, shape, pol):
     return pol.rank_rel_tol * max(shape) * smax
 
 
+def _svd_rank(s, shape, pol):
+    """The number of singular values above the policy cutoff."""
+    return int(np.count_nonzero(s > _svd_cutoff(s, shape, pol)))
+
+
 def _fix_signs(B):
     """Flip basis columns so the largest-magnitude entry is positive.
 
@@ -120,8 +125,7 @@ def rank_of(M, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
     A = _as_matrix(M)
     if 0 in A.shape:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > _svd_cutoff(s, A.shape, pol)))
+    return _svd_rank(np.linalg.svd(A, compute_uv=False), A.shape, pol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,6 +173,12 @@ class RankedSvd:
         s_inv[:self.rank] = 1.0 / self.s[:self.rank]
         return (self.Vt[:k].T * s_inv) @ self.U[:, :k].T
 
+    def ranked(self, pol: TolerancePolicy) -> "RankedSvd":
+        """The same factorisation with the rank that pol's cutoff gives
+        it, for a caller that keeps one SVD across policies."""
+        return RankedSvd(self.M, self.U, self.s, self.Vt,
+                         _svd_rank(self.s, self.M.shape, pol))
+
     def solve(self, g, pol: TolerancePolicy = DEFAULT_POLICY):
         """Solve ``M x = g`` in the least-squares sense.
 
@@ -200,7 +210,7 @@ def ranked_svd(M, pol: TolerancePolicy = DEFAULT_POLICY, full: bool = True) -> R
     if 0 in A.shape:
         return RankedSvd(A, np.eye(A.shape[0]), np.zeros(0), np.eye(A.shape[1]), 0)
     U, s, Vt = np.linalg.svd(A, full_matrices=full)
-    return RankedSvd(A, U, s, Vt, int(np.count_nonzero(s > _svd_cutoff(s, A.shape, pol))))
+    return RankedSvd(A, U, s, Vt, _svd_rank(s, A.shape, pol))
 
 
 def matrix_norm(M) -> float:

@@ -18,15 +18,17 @@ doubling, the sums Y_k as one cumulative sum, and the control blocks by
 one product per control column, T Python steps in all.
 
 The null-space step works through the row space V1 of Aeq, which has
-at most 2n rows; no basis of ker Aeq is formed.  With P = I - V1 V1' it
-solves P G P y = P r for the minimum-norm y: a pivoted Cholesky
-factorization of the reduced Hessian, in place, reveals its rank r in
-at most dim^3 / 3 flops, and a thin QR of the dim x r factor gives the
-minimum-norm solution in O(dim r^2) more (Hammarling, Higham and
-Lucas, PARA 2006; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 10).  Since (PGP)^+ = Z (Z'GZ)^+ Z' for any orthonormal
-basis Z of ker Aeq, this is the minimum-norm solution in the reduced
-coordinates.
+at most 2n rows; no basis of ker Aeq is formed, and the thin SVD of Aeq
+is taken once per FlatQp.  With P = I - V1 V1' it solves P G P y = P r
+for the minimum-norm y: a pivoted Cholesky factorization of the reduced
+Hessian, in place, reveals its rank r in at most dim^3 / 3 flops.  At
+full rank two triangular solves finish, with no QR.  Below it a
+triangular-pentagonal QR of the dim x r factor, whose top r x r block
+is already triangular, gives the minimum-norm solution in
+2 r^2 (dim - r) flops more (Hammarling, Higham and Lucas, PARA 2006;
+Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  Since
+(PGP)^+ = Z (Z'GZ)^+ Z' for any orthonormal basis Z of ker Aeq, this is
+the minimum-norm solution in the reduced coordinates.
 
 Limits: the oracle refuses more than 2000 decision variables
 (dim = n + m T); its solve is O(dim^3); and G carries the powers A^t, so
@@ -37,11 +39,13 @@ overflows is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
+    RankedSvd,
     TolerancePolicy,
     ranked_svd,
 )
@@ -71,7 +75,8 @@ class UnboundedObjectiveError(RuntimeError):
 @dataclass(frozen=True)
 class FlatQp:
     """The flattened problem: cost z'Gz - 2b'z + c0 on Aeq z = beq,
-    in z = (x(0), u(0), ..., u(T-1))."""
+    in z = (x(0), u(0), ..., u(T-1)).  Its arrays are not to be changed
+    once the thin SVD of Aeq has been taken."""
 
     G: np.ndarray
     b: np.ndarray
@@ -93,6 +98,12 @@ class FlatQp:
     def controls(self, z) -> np.ndarray:
         """The (T, m) control block of a decision vector."""
         return np.asarray(z[self.n:], dtype=float).reshape(self.horizon, self.m)
+
+    @cached_property
+    def _aeq_svd(self) -> RankedSvd:
+        """The thin SVD of Aeq, taken on first use; callers rank it under
+        their own policy with RankedSvd.ranked."""
+        return ranked_svd(self.Aeq, full=False)
 
 
 def flatten(problem: LqProblem) -> FlatQp:
@@ -209,12 +220,17 @@ def _min_norm_psd_solve(Gw, bw):
 
     The pivoted Cholesky factorization Pi' Gw Pi = L L', Pi a
     permutation, stops at the first pivot at or below
-    CHOLESKY_RANK_TOL * max(diag(Gw)) and leaves L dim x r.  With the
-    thin QR L = Q R, Gw^+ = Pi Q R^-T R^-1 Q' Pi'.  The QR overwrites the
-    first r columns of the factor, and Q is applied as Householder
-    reflections, never formed.
+    CHOLESKY_RANK_TOL * max(diag(Gw)) and leaves L = [L11; L21] dim x r,
+    L11 lower triangular.  At full rank Gw^-1 = Pi L^-T L^-1 Pi', two
+    triangular solves and no QR.  Below it, with J the r x r reversal
+    and D = diag(J, I), M = D L J = [J L11 J; L21 J] is upper triangular
+    over dense, and M M' = D L L' D.  Its triangular-pentagonal QR
+    M = Q R costs 2 r^2 (dim - r) flops, and
+    Gw^+ = Pi D Q R^-T R^-1 Q' D Pi'.  Q is applied as block
+    reflections, never formed; L21 J goes into the factor's unused
+    trailing columns, so J L11 J is the one copy.
     """
-    from scipy.linalg.lapack import dgeqrf, dormqr, dpstrf, dtrtrs
+    from scipy.linalg.lapack import dpstrf, dtpmqrt, dtpqrt, dtrtrs
 
     dim = Gw.shape[0]
     w = np.zeros(dim)
@@ -223,17 +239,29 @@ def _min_norm_psd_solve(Gw, bw):
                           lower=1, overwrite_a=1)
     if r == 0:
         return w
-    L = c[:, :r]
-    L[:r][np.arange(r)[:, None] < np.arange(r)] = 0.0  # above the diagonal
-    lwork = int(dgeqrf(L, lwork=-1, overwrite_a=1)[2][0])  # workspace query
-    qr, tau, _, _ = dgeqrf(L, lwork=lwork, overwrite_a=1)
     p = piv - 1
-    y, _, _ = dormqr("L", "T", qr, tau, bw[p, None], lwork, overwrite_c=1)
-    y[:r], _ = dtrtrs(qr, y[:r])
-    y[:r], _ = dtrtrs(qr, y[:r], trans=1)
-    y[r:] = 0.0
-    y, _, _ = dormqr("L", "N", qr, tau, y, lwork, overwrite_c=1)
-    w[p] = y[:, 0]
+    y = bw[p, None]
+    if r == dim:
+        y, _ = dtrtrs(c, y, lower=1, overwrite_b=1)
+        y, _ = dtrtrs(c, y, lower=1, trans=1, overwrite_b=1)
+        w[p] = y[:, 0]
+        return w
+    top = np.array(c[r - 1::-1, r - 1::-1], order="F")
+    # L21 J as a Fortran-ordered block in the trailing columns of c
+    low = c.reshape(-1, order="F")[r * dim:(2 * dim - r) * r]
+    low = low.reshape(dim - r, r, order="F")
+    low[...] = c[r:, r - 1::-1]
+    top, low, t, _ = dtpqrt(0, min(32, r), top, low,  # 32-column blocks
+                            overwrite_a=1, overwrite_b=1)
+    y[:r] = y[r - 1::-1]
+    y1, y2, _ = dtpmqrt(0, low, t, y[:r], y[r:], trans="T",
+                        overwrite_a=1, overwrite_b=1)
+    y1, _ = dtrtrs(top, y1, overwrite_b=1)
+    y1, _ = dtrtrs(top, y1, trans=1, overwrite_b=1)
+    y2[:] = 0.0
+    y1, y2, _ = dtpmqrt(0, low, t, y1, y2, overwrite_a=1, overwrite_b=1)
+    w[p[:r]] = y1[::-1, 0]
+    w[p[r:]] = y2[:, 0]
     return w
 
 
@@ -250,10 +278,10 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
     feasible : bool
         Whether Aeq z = beq is solvable under the policy tolerance.
     """
-    svd = ranked_svd(qp.Aeq, pol, full=False)
+    svd = qp._aeq_svd.ranked(pol)
     z_f, feasible = svd.solve(qp.beq, pol)
-    if not feasible:
-        return z_f, qp.cost(z_f), False
+    if not feasible or qp.dim == 0:
+        return z_f, qp.cost(z_f), feasible
     V1 = svd.Vt[:svd.rank].T     # orthonormal basis of the row space
     Gw, W1, W2 = _reduced_hessian(qp.G, V1)
     bw = _project(V1, qp.b - qp.G @ z_f)
@@ -275,6 +303,6 @@ def projected_gradient_norm(qp: FlatQp, z, pol: TolerancePolicy = DEFAULT_POLICY
     """Norm of the objective gradient projected onto ker Aeq at z;
     zero at any constrained minimizer."""
     grad = 2.0 * (qp.G @ np.asarray(z, dtype=float) - qp.b)
-    svd = ranked_svd(qp.Aeq, pol, full=False)
+    svd = qp._aeq_svd.ranked(pol)
     V1 = svd.Vt[:svd.rank].T
     return float(np.linalg.norm(_project(V1, grad)))

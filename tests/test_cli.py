@@ -248,6 +248,21 @@ def test_solve_without_state_matches_oracle(tmp_path, capsys):
     assert last_json(out)["cost"] == solution["cost"]
 
 
+def test_oracle_without_variables(tmp_path, capsys):
+    # n = m = 0: the flat QP has no variables, and its optimum is the
+    # constant cost.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "n": 0, "m": 0, "q": 0, "T": 3, "A": [], "B": [], "Q": [], "S": [],
+        "R": [], "H": [], "h0": [], "hT": []}))
+    code, out = run_cli(["oracle", "--problem", str(path)], capsys)
+    assert code == EXIT_OK
+    doc = last_json(out)
+    assert doc["status"] == "ok" and doc["feasible"] is True
+    assert doc["cost"] == 0.0
+    assert doc["x0"] == [] and doc["u"] == [[], [], []]
+
+
 def test_infeasible_problem_exit_code(tmp_path, capsys):
     triple = PopovTriple([[0.5]], [[0.0]], [[1.0]], [[0.0]], [[1.0]])
     bd = BoundarySpec(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),

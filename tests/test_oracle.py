@@ -117,13 +117,33 @@ def test_solve_flat_detects_linear_unboundedness():
         solve_flat(qp)
 
 
-@pytest.mark.parametrize("rank", [0, 1, 6, 12])
-def test_min_norm_psd_solve_matches_pseudo_inverse(rank):
+def test_solve_flat_without_variables():
+    # n = m = 0 leaves dim 0: the empty minimizer at cost c0, feasible
+    # exactly when beq = 0.
+    triple = PopovTriple(*(np.zeros((0, 0)),) * 5)
+    qp = flatten(LqProblem(triple, 3, BoundarySpec.unconstrained(0)))
+    assert qp.dim == 0
+    z, cost, feasible = solve_flat(qp)
+    assert z.shape == (0,) and cost == 0.0 and feasible
+    assert projected_gradient_norm(qp, z) == 0.0
+    for beq, want in ((np.zeros(1), True), (np.ones(1), False)):
+        qp = FlatQp(G=np.zeros((0, 0)), b=np.zeros(0), c0=5.0,
+                    Aeq=np.zeros((1, 0)), beq=beq, n=0, m=0, horizon=3)
+        z, cost, feasible = solve_flat(qp)
+        assert z.shape == (0,) and cost == 5.0 and feasible is want
+
+
+@pytest.mark.parametrize("dim, rank", [
+    *(pytest.param(12, rank, id=str(rank)) for rank in (0, 1, 6, 12)),
+    *(pytest.param(80, rank, id=f"80-{rank}") for rank in (0, 1, 50, 79, 80)),
+])
+def test_min_norm_psd_solve_matches_pseudo_inverse(dim, rank):
     # Eigenvalues spread from 1 down to 1e-10: the kept directions have
     # condition number 1e10, so the solution carries a relative error of
-    # about 1e10 * dim * eps, below 1e-4.
-    rng = np.random.default_rng(300 + rank)
-    dim = 12
+    # about 1e10 * dim * eps, below 1e-4.  At dim 80 both the full-rank
+    # solve and the triangular-pentagonal QR run, the latter over more
+    # than one 32-column block.
+    rng = np.random.default_rng(300 + rank + 1000 * (dim > 12))
     U, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     lam = np.zeros(dim)
     lam[:rank] = np.logspace(0, -10, rank)
@@ -133,6 +153,8 @@ def test_min_norm_psd_solve_matches_pseudo_inverse(rank):
     want = np.linalg.pinv(Gw) @ bw
     got = _min_norm_psd_solve(Gw.copy(), bw)
     assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
+    # Minimum norm: no component in ker Gw, spanned by U[:, rank:].
+    assert np.linalg.norm(U[:, rank:].T @ got) <= 1e-4 * np.linalg.norm(want)
     if rank == 0:
         assert not got.any()
 
