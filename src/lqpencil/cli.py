@@ -16,6 +16,8 @@ horizon too short to decide feasibility), 3 no Riccati solution found
 or candidate rejected, 4 bad input (including a usage error, or a stage
 cost or endpoint penalty that is not symmetric positive semidefinite),
 5 an internal consistency check of the pencil decomposition failed.
+A subcommand declares only the flags it reads (see ``_COMMANDS``); a
+flag that it does not read is a usage error, exit 4.
 
 Reports are JSON with a fixed key order, so identical inputs produce
 byte-identical output.
@@ -91,8 +93,6 @@ def _policy(args) -> TolerancePolicy:
 
 
 def _load_problem(args) -> LqProblem:
-    if not args.problem:
-        raise _CliError("this command requires --problem", EXIT_BAD_INPUT)
     try:
         return load_problem(args.problem)
     except (OSError, ProblemFormatError) as exc:
@@ -190,7 +190,7 @@ def _cmd_solve(args):
         "x": _mat(sol.x),
         "u": _mat(sol.u),
         "costate": _mat(sol.costate),
-        "chi": _mat(np.atleast_2d(sol.chi))[0],
+        "chi": _mat(sol.chi),
         "free_boundary_dim": int(sol.free_boundary.shape[1]),
         "free_control_dim": sol.steering.shape[1] - rank_of(sol.steering, pol),
         "free_boundary": _mat(sol.free_boundary),
@@ -228,8 +228,6 @@ def _cmd_analyze_pencil(args):
 def _cmd_verify_riccati(args):
     pol = _policy(args)
     problem = _load_problem(args)
-    if not args.riccati:
-        raise _CliError("verify-riccati requires --riccati", EXIT_BAD_INPUT)
     X = _load_riccati_matrix(args.riccati)
     sigma = problem.triple
     report = _report(args, pol)
@@ -269,7 +267,7 @@ def _cmd_oracle(args):
         "status": "ok" if feasible else "infeasible",
         "feasible": bool(feasible),
         "cost": float(cost),
-        "x0": _mat(np.atleast_2d(z[:qp.n]))[0],
+        "x0": _mat(z[:qp.n]),
         "u": _mat(qp.controls(z)),
         "projected_gradient_norm": projected_gradient_norm(qp, z, pol),
     })
@@ -326,19 +324,23 @@ def _cmd_selftest(args):
     return report, EXIT_OK if all_passed else EXIT_SELFTEST_FAILED
 
 
+# name: (handler, help, --problem, --riccati), each flag required (True),
+# optional (False) or not declared (None); all take --out and tolerances.
 _COMMANDS = {
-    "solve": (_cmd_solve, "solve a problem file"),
-    "analyze-pencil": (_cmd_analyze_pencil, "report the pencil eigenstructure"),
-    "verify-riccati": (_cmd_verify_riccati, "certify a candidate Riccati solution"),
-    "oracle": (_cmd_oracle, "solve via the flat-QP oracle"),
-    "selftest": (_cmd_selftest, "run bundled closed-form checks"),
+    "solve": (_cmd_solve, "solve a problem file", True, False),
+    "analyze-pencil": (_cmd_analyze_pencil, "report the pencil eigenstructure",
+                       True, False),
+    "verify-riccati": (_cmd_verify_riccati, "certify a candidate Riccati solution",
+                       True, True),
+    "oracle": (_cmd_oracle, "solve via the flat-QP oracle", True, None),
+    "selftest": (_cmd_selftest, "run bundled closed-form checks", None, None),
 }
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; writes the JSON report to
     args.out (or stdout) and returns the exit code."""
-    handler, _ = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
         report, code = handler(args)
     except (_CliError, DecompositionError) as exc:
@@ -387,11 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-horizon LQ control via symplectic-pencil "
                     "decomposition, with an independent QP oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, problem, riccati) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--problem", help="problem JSON file")
-        p.add_argument("--riccati", help="candidate Riccati JSON file "
-                                         "(object with key 'X')")
+        if problem is not None:
+            p.add_argument("--problem", required=problem, help="problem JSON file")
+        if riccati is not None:
+            p.add_argument("--riccati", required=riccati,
+                           help="candidate Riccati JSON file (object with key 'X')")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--rank-tol", type=float, default=None,
                        help="relative rank cutoff (default 1e-10)")

@@ -3,7 +3,7 @@
 The core fixture is a 2-state, 2-input triple with a doubly singular
 stage cost (R = 0, Q of rank one).  Its CGDARE solution, pencil
 structure, and constrained solves are known in closed form, which makes
-it a good end-to-end smoke test: the constrained variant asks for a
+it a good end-to-end smoke test: the bundled problem file asks for a
 cyclic trajectory (x(0) = x(T)) that stays near a target point h under
 an endpoint penalty.
 """
@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import BoundarySpec, LqProblem, PopovTriple
+from .model import PopovTriple
 
 
 def singular_triple() -> PopovTriple:
@@ -33,20 +33,6 @@ def singular_triple() -> PopovTriple:
 def singular_riccati_solution() -> np.ndarray:
     """A CGDARE solution for :func:`singular_triple`: X = diag(0, 1)."""
     return np.diag([0.0, 1.0])
-
-
-def cyclic_problem(h=(1.0, 2.0), horizon: int = 3) -> LqProblem:
-    """Cyclic boundary variant of the singular triple.
-
-    Constrains x(0) = x(T) and penalizes both endpoints' distance to h
-    with an identity weight.
-    """
-    h = np.asarray(h, dtype=float)
-    n = 2
-    boundary = BoundarySpec(
-        V0=np.eye(n), VT=-np.eye(n), v=np.zeros(n),
-        H=np.eye(2 * n), h0=h, hT=h)
-    return LqProblem(singular_triple(), int(horizon), boundary)
 
 
 def bundled_problem_path() -> str:

@@ -6,12 +6,12 @@ points, so that one `TolerancePolicy` controls them all:
 one SVD whose :class:`RankedSvd` gives the image, its orthogonal
 complement, the kernel, the pseudo-inverse and the solution of an
 affine system ``F x = g`` with its feasibility.  Rank cutoffs follow
-the usual SVD convention::
-
-    cutoff = rank_rel_tol * max(rows, cols) * sigma_max
-
-The one rank decision outside the policy is the oracle's reduced solve,
-whose pivoted Cholesky stops at the machine-precision cutoff
+the usual SVD convention, and :func:`_svd_cutoff` alone writes it out:
+``model.factor_cost`` (on the eigenvalues of Pi) and the pencil's
+infinite structure (on the powers of P_inf) call it too, and the
+stationarity check fits its multiplier by :func:`ranked_svd`.  The one
+rank decision outside the policy is the oracle's reduced solve, whose
+pivoted Cholesky stops at the machine-precision cutoff
 ``oracle.CHOLESKY_RANK_TOL``.
 
 The orthonormal bases are made deterministic by a sign convention:
@@ -26,7 +26,8 @@ column norms, using ``max column norm <= ||E||_2 <= ||E||_F``, and
 computes spectral norms only when those bounds leave the decision
 open, or when a sum of squares could overflow and the bounds would
 mean nothing.  Every norm a caller reports or keeps is an exact
-spectral norm (:func:`matrix_norm`).
+spectral norm: :func:`matrix_norm`, or the largest singular value of a
+:func:`ranked_svd` the caller takes anyway.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def _as_vector(v, name="vector"):
 
 
 def _svd_cutoff(s, shape, pol):
+    """The rank cutoff rank_rel_tol * max(shape) * s[0] of a matrix
+    whose singular values, largest first, are s."""
     smax = s[0] if len(s) else 0.0
     return pol.rank_rel_tol * max(shape) * smax
 
@@ -274,15 +277,3 @@ def norm_exceeds(E, tol, *scales) -> bool:
         if 2.0 * fro <= _scaled(tol, map(_colmax, scales)):
             return False
     return matrix_norm(E) > _scaled(tol, map(matrix_norm, scales))
-
-
-def subspace_distance(B1, B2) -> float:
-    """Distance between subspaces given orthonormal bases: the spectral
-    norm of the difference of orthogonal projectors."""
-    B1 = _as_matrix(B1)
-    B2 = _as_matrix(B2)
-    if B1.shape[0] != B2.shape[0]:
-        raise DimensionMismatchError("bases live in different ambient spaces")
-    P1 = B1 @ B1.T
-    P2 = B2 @ B2.T
-    return matrix_norm(P1 - P2)

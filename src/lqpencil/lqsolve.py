@@ -330,12 +330,14 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     inp = worst_row(xs[:-1] @ tr.S + lams[1:] @ tr.B + us @ tr.R.T)
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
-    # With q = 0, V' has no columns: eta is empty and tv is |rhs|.
-    eta, *_ = np.linalg.lstsq(bd.V.T, rhs, rcond=None)
+    # Least squares under the policy's rank cutoff.  With q = 0, V' has
+    # no columns: eta is empty and tv is |rhs|.
+    fit = ranked_svd(bd.V.T, pol, full=False)
+    eta = fit.pinv @ rhs
     tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
     data_scale = 1.0 + max(matrix_norm(tr.A), matrix_norm(tr.B),
                            matrix_norm(tr.pi), matrix_norm(bd.H),
-                           matrix_norm(bd.V))
+                           np.max(fit.s, initial=0.0))
     traj_scale = 1.0 + max(np.max(np.abs(W), initial=0.0) for W in (xs, lams, us))
     scale = data_scale * traj_scale
     worst = max(dyn, con, cos, inp, tv)
@@ -351,8 +353,9 @@ def verify_stationarity(problem: LqProblem, sol: LqSolution,
     """Residuals of the discrete first-order optimality system:
     dynamics, endpoint constraint, costate recursion, input
     stationarity, and endpoint transversality (multiplier fitted by
-    least squares).  ``passed`` compares the worst residual against
-    ``residual_tol`` scaled by the data and trajectory norms."""
+    least squares under the policy's rank cutoff).  ``passed`` compares
+    the worst residual against ``residual_tol`` scaled by the data and
+    trajectory norms."""
     return _stationarity(problem, sol.x, sol.u, sol.costate, pol)
 
 

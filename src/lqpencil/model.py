@@ -29,6 +29,7 @@ from .linalg import (
     _as_matrix,
     _as_vector,
     _fix_signs,
+    _svd_cutoff,
     rank_of,
 )
 
@@ -245,7 +246,7 @@ def factor_cost(triple: PopovTriple, pol: TolerancePolicy = DEFAULT_POLICY):
                                  IndefiniteCostError, pol)
     w = w[::-1]
     W = _fix_signs(W[:, ::-1])
-    keep = w > pol.rank_rel_tol * len(w) * scale
+    keep = w > _svd_cutoff((scale,), w.shape, pol)
     F = (W[:, keep] * np.sqrt(w[keep])).T
     return F[:, :triple.n], F[:, triple.n:]
 

@@ -35,14 +35,13 @@ from .linalg import (
     DEFAULT_POLICY,
     DimensionMismatchError,
     TolerancePolicy,
-    matrix_norm,
+    _svd_cutoff,
     norm_exceeds,
     rank_of,
     ranked_svd,
-    subspace_distance,
 )
 from .model import PopovTriple
-from .riccati import InputSplit, RiccatiCertificate, split_inputs
+from .riccati import InputSplit, RiccatiCertificate
 
 
 class DecompositionError(RuntimeError):
@@ -364,8 +363,8 @@ def _infinite_multiplicities(A22, B12, pol):
     P_inf = blkdiag(I_d, [[A22', 0], [B12', 0]]), so the singular values
     of P_inf^k are d ones, m1 zeros and those of the (d + m1) x d block
     G_k = [A22'^k; B12' A22'^(k-1)] = G_(k-1) A22'.  The chain runs on
-    G_k, and each rank is decided as :func:`rank_of` decides that of
-    P_inf^k: cutoff rank_rel_tol * (2d + m1) * max(1, sigma_max(G_k)).
+    G_k; each rank is that of P_inf^k under ``linalg._svd_cutoff``,
+    with size 2d + m1 and sigma_max = max(1, sigma_max(G_k)) for d > 0.
     """
     d, m1 = B12.shape
     size = 2 * d + m1
@@ -375,7 +374,7 @@ def _infinite_multiplicities(A22, B12, pol):
     prev, geometric = size, None
     for _ in range(size):
         s = np.linalg.svd(block, compute_uv=False) if d else np.zeros(0)
-        cutoff = pol.rank_rel_tol * size * np.max(s, initial=1.0)
+        cutoff = _svd_cutoff((np.max(s, initial=1.0),), (size, size), pol)
         rank = d * (1.0 > cutoff) + int(np.sum(s > cutoff))
         if geometric is None:
             geometric = size - rank
@@ -417,66 +416,3 @@ def generalized_spectrum(dec: PencilDecomposition,
         infinite_algebraic=int(inf_alg),
         infinite_geometric=int(inf_geo),
     )
-
-
-@dataclass(frozen=True)
-class SolutionPairReport:
-    """Invariants shared by any two CGDARE solutions of one triple.
-
-    All entries are distances/residuals; ``passed`` is their comparison
-    against eig_match_tol.  For any two solutions X, Y: ker R_X = ker R_Y,
-    the closed-loop reachable subspaces coincide, and A_X, A_Y agree on
-    that subspace.  Additionally ker R_X = ker(X B) ∩ ker R and the
-    reachable subspace lies in ker C_X.
-    """
-
-    kernel_distance: float
-    reachable_distance: float
-    restriction_residual: float
-    output_nulling_residual: float
-    kernel_intersection_distance: float
-    passed: bool
-
-
-def check_solution_pair_invariants(c1: RiccatiCertificate, c2: RiccatiCertificate,
-                                   pol: TolerancePolicy = DEFAULT_POLICY) -> SolutionPairReport:
-    """Check the solution-independent structure shared by two certificates.
-
-    Raises
-    ------
-    DimensionMismatchError
-        When the certificates come from different Popov triples.
-    """
-    s1, s2 = c1.sigma, c2.sigma
-    same = all(np.array_equal(getattr(s1, k), getattr(s2, k))
-               for k in ("A", "B", "Q", "S", "R"))
-    if not same:
-        raise DimensionMismatchError("certificates come from different triples")
-
-    d1 = reachability_decomposition(c1, split_inputs(c1, pol), pol)
-    d2 = reachability_decomposition(c2, split_inputs(c2, pol), pol)
-    ker1, ker2 = d1.split.T2, d2.split.T2     # ker R_X of each
-    kernel_distance = subspace_distance(ker1, ker2)
-
-    W1 = d1.U[:, :d1.r]
-    W2 = d2.U[:, :d2.r]
-    reachable_distance = subspace_distance(W1, W2)
-
-    scale = 1.0 + matrix_norm(c1.A_X) + matrix_norm(c2.A_X)
-    restriction_residual = matrix_norm((c1.A_X - c2.A_X) @ W1) / scale
-
-    output_nulling_residual = max(matrix_norm(c1.C_X @ W1), matrix_norm(c2.C_X @ W2))
-
-    inter1 = ranked_svd(np.vstack([c1.X @ s1.B, s1.R]), pol).kernel
-    kernel_intersection_distance = subspace_distance(ker1, inter1)
-
-    passed = all(val <= pol.eig_match_tol for val in (
-        kernel_distance, reachable_distance, restriction_residual,
-        output_nulling_residual, kernel_intersection_distance))
-    return SolutionPairReport(
-        kernel_distance=float(kernel_distance),
-        reachable_distance=float(reachable_distance),
-        restriction_residual=float(restriction_residual),
-        output_nulling_residual=float(output_nulling_residual),
-        kernel_intersection_distance=float(kernel_intersection_distance),
-        passed=passed)

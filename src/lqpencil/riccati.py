@@ -107,11 +107,6 @@ def _threshold(sigma: PopovTriple, X, pol) -> float:
     return pol.residual_tol * (1.0 + matrix_norm(sigma.pi) + matrix_norm(X))
 
 
-def gdare_residual(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Residual matrix X - A'XA + S_X R_X^+ S_X' - Q of a symmetric candidate."""
-    return _evaluate(sigma, X, pol)[5]
-
-
 @dataclass(frozen=True)
 class RiccatiCertificate:
     """A CGDARE solution X together with its derived closed-loop data

@@ -1,15 +1,119 @@
-"""Shared fixtures: the closed-form singular example and seeded random
-problem families (regular R > 0 and singular R)."""
+"""Shared fixtures: the closed-form singular example and its cyclic
+problem, seeded random problem families (regular R > 0 and singular R),
+and checks that only the tests read: the CGDARE residual matrix,
+subspace distances, and the invariants shared by two CGDARE solutions."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from lqpencil import BoundarySpec, LqProblem, PopovTriple, TolerancePolicy, certify
-from lqpencil.fixtures import cyclic_problem, singular_riccati_solution, singular_triple
-from lqpencil.linalg import rank_of
+from lqpencil import (
+    BoundarySpec,
+    DimensionMismatchError,
+    LqProblem,
+    PopovTriple,
+    TolerancePolicy,
+    certify,
+)
+from lqpencil.fixtures import singular_riccati_solution, singular_triple
+from lqpencil.linalg import DEFAULT_POLICY, _as_matrix, matrix_norm, rank_of, ranked_svd
 from lqpencil.lqsolve import _split_chi, _sweep, _trajectories, control_free_param
 from lqpencil.pencil import reachability_decomposition
-from lqpencil.riccati import split_inputs
+from lqpencil.riccati import _evaluate, split_inputs
+
+
+def cyclic_problem(h=(1.0, 2.0), horizon: int = 3) -> LqProblem:
+    """Cyclic boundary variant of the singular triple.
+
+    Constrains x(0) = x(T) and penalizes both endpoints' distance to h
+    with an identity weight.
+    """
+    h = np.asarray(h, dtype=float)
+    n = 2
+    boundary = BoundarySpec(
+        V0=np.eye(n), VT=-np.eye(n), v=np.zeros(n),
+        H=np.eye(2 * n), h0=h, hT=h)
+    return LqProblem(singular_triple(), int(horizon), boundary)
+
+
+def gdare_residual(sigma, X, pol=DEFAULT_POLICY):
+    """Residual matrix X - A'XA + S_X R_X^+ S_X' - Q of a symmetric candidate."""
+    return _evaluate(sigma, X, pol)[5]
+
+
+def subspace_distance(B1, B2) -> float:
+    """Distance between subspaces given orthonormal bases: the spectral
+    norm of the difference of orthogonal projectors."""
+    B1 = _as_matrix(B1)
+    B2 = _as_matrix(B2)
+    if B1.shape[0] != B2.shape[0]:
+        raise DimensionMismatchError("bases live in different ambient spaces")
+    P1 = B1 @ B1.T
+    P2 = B2 @ B2.T
+    return matrix_norm(P1 - P2)
+
+
+@dataclass(frozen=True)
+class SolutionPairReport:
+    """Invariants shared by any two CGDARE solutions of one triple.
+
+    All entries are distances/residuals; ``passed`` is their comparison
+    against eig_match_tol.  For any two solutions X, Y: ker R_X = ker R_Y,
+    the closed-loop reachable subspaces coincide, and A_X, A_Y agree on
+    that subspace.  Additionally ker R_X = ker(X B) ∩ ker R and the
+    reachable subspace lies in ker C_X.
+    """
+
+    kernel_distance: float
+    reachable_distance: float
+    restriction_residual: float
+    output_nulling_residual: float
+    kernel_intersection_distance: float
+    passed: bool
+
+
+def check_solution_pair_invariants(c1, c2, pol=DEFAULT_POLICY) -> SolutionPairReport:
+    """Check the solution-independent structure shared by two certificates.
+
+    Raises
+    ------
+    DimensionMismatchError
+        When the certificates come from different Popov triples.
+    """
+    s1, s2 = c1.sigma, c2.sigma
+    same = all(np.array_equal(getattr(s1, k), getattr(s2, k))
+               for k in ("A", "B", "Q", "S", "R"))
+    if not same:
+        raise DimensionMismatchError("certificates come from different triples")
+
+    d1 = reachability_decomposition(c1, split_inputs(c1, pol), pol)
+    d2 = reachability_decomposition(c2, split_inputs(c2, pol), pol)
+    ker1, ker2 = d1.split.T2, d2.split.T2     # ker R_X of each
+    kernel_distance = subspace_distance(ker1, ker2)
+
+    W1 = d1.U[:, :d1.r]
+    W2 = d2.U[:, :d2.r]
+    reachable_distance = subspace_distance(W1, W2)
+
+    scale = 1.0 + matrix_norm(c1.A_X) + matrix_norm(c2.A_X)
+    restriction_residual = matrix_norm((c1.A_X - c2.A_X) @ W1) / scale
+
+    output_nulling_residual = max(matrix_norm(c1.C_X @ W1), matrix_norm(c2.C_X @ W2))
+
+    inter1 = ranked_svd(np.vstack([c1.X @ s1.B, s1.R]), pol).kernel
+    kernel_intersection_distance = subspace_distance(ker1, inter1)
+
+    passed = all(val <= pol.eig_match_tol for val in (
+        kernel_distance, reachable_distance, restriction_residual,
+        output_nulling_residual, kernel_intersection_distance))
+    return SolutionPairReport(
+        kernel_distance=float(kernel_distance),
+        reachable_distance=float(reachable_distance),
+        restriction_residual=float(restriction_residual),
+        output_nulling_residual=float(output_nulling_residual),
+        kernel_intersection_distance=float(kernel_intersection_distance),
+        passed=passed)
 
 
 @pytest.fixture(scope="session")

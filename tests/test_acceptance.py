@@ -39,7 +39,6 @@ from lqpencil import (
 from lqpencil.cli import EXIT_OK, main
 from lqpencil.fixtures import (
     bundled_problem_path,
-    cyclic_problem,
     singular_riccati_solution,
     singular_triple,
 )
@@ -59,6 +58,7 @@ from lqpencil.riccati import split_inputs
 
 from conftest import (
     attach_random_boundary,
+    cyclic_problem,
     measured_normal_rank,
     random_regular_problem,
     random_singular_triple,

@@ -23,9 +23,9 @@ from lqpencil.cli import (
     EXIT_OK,
     main,
 )
-from lqpencil.fixtures import bundled_problem_path, cyclic_problem
+from lqpencil.fixtures import bundled_problem_path
 
-from conftest import WRONG_SHAPES, three_input_document
+from conftest import WRONG_SHAPES, cyclic_problem, three_input_document
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +381,8 @@ def test_bad_input_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, command, error", [
     (["solve", "--rank-tol", "abc"], "solve", "invalid float value: 'abc'"),
-    (["solve", "--bogus"], "solve", "unrecognized arguments: --bogus"),
+    (["solve", "--problem", bundled_problem_path(), "--bogus"], "solve",
+     "unrecognized arguments: --bogus"),
     ([], None, "the following arguments are required: command"),
 ])
 def test_usage_error_is_bad_input(capsys, argv, command, error):
@@ -391,6 +392,22 @@ def test_usage_error_is_bad_input(capsys, argv, command, error):
     doc = last_json(out)
     assert (doc["command"], doc["status"]) == (command, "bad-input")
     assert error in doc["error"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--problem", bundled_problem_path(), "--riccati", "x.json"],
+     "--riccati"),
+    (["selftest", "--problem", "x.json"], "--problem"),
+    (["selftest", "--riccati", "x.json"], "--riccati"),
+], ids=["oracle-riccati", "selftest-problem", "selftest-riccati"])
+def test_flag_the_command_does_not_read_is_bad_input(capsys, argv, flag):
+    # the named file does not exist: a command that ignored the flag
+    # would report "ok"
+    code, out = run_cli(argv, capsys)
+    assert code == EXIT_BAD_INPUT
+    doc = last_json(out)
+    assert (doc["command"], doc["status"]) == (argv[0], "bad-input")
+    assert f"unrecognized arguments: {flag}" in doc["error"]
 
 
 def test_help_exits_zero(capsys):

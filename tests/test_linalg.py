@@ -13,8 +13,9 @@ from lqpencil.linalg import (
     norm_exceeds,
     rank_of,
     ranked_svd,
-    subspace_distance,
 )
+
+from conftest import subspace_distance
 
 
 def test_policy_rejects_nonpositive_tolerances():

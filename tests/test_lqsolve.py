@@ -25,20 +25,17 @@ from lqpencil import (
     solve_problem,
     verify_stationarity,
 )
-from lqpencil.fixtures import (
-    bundled_problem_path,
-    cyclic_problem,
-    singular_riccati_solution,
-)
+from lqpencil.fixtures import bundled_problem_path
 from lqpencil.linalg import matrix_norm, rank_of, ranked_svd
 from lqpencil.lqsolve import (
+    _stationarity,
     _sweep,
     assemble_boundary,
     control_free_param,
     endpoint_gramian,
     solve_with_decomposition,
 )
-from lqpencil.model import evaluate_cost, load_problem
+from lqpencil.model import ConstraintRankError, evaluate_cost, load_problem, validate
 from lqpencil.pencil import (
     PencilDecomposition,
     _reachable_staging,
@@ -48,6 +45,7 @@ from lqpencil.riccati import InputSplit, split_inputs
 
 from conftest import (
     attach_random_boundary,
+    cyclic_problem,
     random_regular_problem,
     random_singular_triple,
     rebuild_trajectories,
@@ -562,6 +560,64 @@ def test_verify_stationarity_detects_perturbation(cyclic, sing_cert):
     rep_bad = verify_stationarity(cyclic, bad)
     assert not rep_bad.passed
     assert max(rep_bad.dynamics_residual, rep_bad.input_residual) > 1e-3
+
+
+def random_trajectories(rng, problem):
+    """(x, u, costate) of the problem's shapes; the multiplier fit reads
+    them whatever their residuals."""
+    n, m, T = problem.triple.n, problem.triple.m, problem.horizon
+    return (rng.normal(size=(T + 1, n)), rng.normal(size=(T, m)),
+            rng.normal(size=(T + 1, n)))
+
+
+def transversality_rhs(problem, xs, lams):
+    """The right-hand side V' eta is fitted to, as the check forms it."""
+    bd, T = problem.boundary, problem.horizon
+    e = np.concatenate([xs[0] - bd.h0, xs[T] - bd.hT])
+    return np.concatenate([-lams[0], lams[T]]) - bd.H @ e
+
+
+def test_multiplier_fit_drops_directions_below_the_policy_cutoff(cyclic, pol):
+    # V = [V0 VT] with singular values 1 and 1e-13: numpy's default
+    # lstsq cutoff (eps * 4) keeps the second, the policy's
+    # (rank_rel_tol * 4) drops it.  validate rejects such a V, so the
+    # check is called directly.
+    rng = np.random.default_rng(23)
+    left, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    right, _ = np.linalg.qr(rng.normal(size=(4, 2)))
+    V = left @ np.diag([1.0, 1e-13]) @ right.T
+    bd = dataclasses.replace(cyclic.boundary, V0=V[:, :2], VT=V[:, 2:])
+    problem = dataclasses.replace(cyclic, boundary=bd)
+    xs, us, lams = random_trajectories(rng, problem)
+    rhs = transversality_rhs(problem, xs, lams)
+    rep = _stationarity(problem, xs, us, lams, pol)
+    fit = ranked_svd(V.T, pol)
+    assert fit.rank == 1
+    np.testing.assert_array_equal(rep.eta, fit.pinv @ rhs)
+    dropped = fit.Vt[1]
+    assert abs(dropped @ rep.eta) <= 1e-15 * np.linalg.norm(rep.eta)
+    # numpy's own cutoff would fit the 1e-13 direction with a huge weight
+    eta_np, *_ = np.linalg.lstsq(V.T, rhs, rcond=None)
+    assert abs(dropped @ eta_np) > 1e6 * np.linalg.norm(rep.eta)
+
+
+def test_multiplier_fit_matches_lstsq_on_validated_problems(pol):
+    rng = np.random.default_rng(2027)
+    checked = 0
+    while checked < 40:
+        problem = random_regular_problem(rng)
+        try:
+            validate(problem, pol)
+        except ConstraintRankError:
+            continue
+        xs, us, lams = random_trajectories(rng, problem)
+        rep = _stationarity(problem, xs, us, lams, pol)
+        V = problem.boundary.V
+        eta_np, *_ = np.linalg.lstsq(V.T, transversality_rhs(problem, xs, lams),
+                                     rcond=None)
+        assert rep.eta.shape == (problem.boundary.q,)
+        assert np.linalg.norm(rep.eta - eta_np) <= 1e-12 * np.linalg.norm(eta_np)
+        checked += 1
 
 
 def test_random_singular_instances_match_oracle(pol):

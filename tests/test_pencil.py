@@ -19,7 +19,6 @@ from lqpencil import (
 from lqpencil.linalg import (
     rank_of,
     ranked_svd,
-    subspace_distance,
 )
 from lqpencil import pencil
 from lqpencil.pencil import (
@@ -33,7 +32,7 @@ from lqpencil.pencil import (
 )
 from lqpencil.riccati import InputSplit, split_inputs
 
-from conftest import measured_normal_rank, random_singular_triple
+from conftest import measured_normal_rank, random_singular_triple, subspace_distance
 
 
 def esp_blocks(dec, z):

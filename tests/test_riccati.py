@@ -25,17 +25,20 @@ from lqpencil.linalg import (
     rank_of,
     ranked_svd,
 )
-from lqpencil.pencil import check_solution_pair_invariants
 from lqpencil.riccati import (
     _doubling,
     _evaluate,
     _fixed_point,
     _limit,
-    gdare_residual,
     split_inputs,
 )
 
-from conftest import random_regular_problem, random_singular_triple
+from conftest import (
+    check_solution_pair_invariants,
+    gdare_residual,
+    random_regular_problem,
+    random_singular_triple,
+)
 
 
 def kernel_condition_violation(sigma, X, pol=DEFAULT_POLICY):
