@@ -13,9 +13,10 @@ selftest        Run the bundled closed-form checks.
 
 Exit codes: 0 success, 1 selftest failure, 2 infeasible problem (or a
 horizon too short to decide feasibility), 3 no Riccati solution found
-or candidate rejected, 4 bad input (including a usage error, or a stage
-cost or endpoint penalty that is not symmetric positive semidefinite),
-5 an internal consistency check of the pencil decomposition failed.
+or candidate rejected, 4 bad input (including a usage error, a malformed
+Riccati candidate, or a stage cost or endpoint penalty that is not
+symmetric positive semidefinite), 5 an internal consistency check of
+the pencil decomposition failed.
 A subcommand declares only the flags it reads (see ``_COMMANDS``); a
 flag that it does not read is a usage error, exit 4.
 
@@ -32,7 +33,7 @@ import sys
 import numpy as np
 
 from .fixtures import bundled_problem_path, singular_riccati_solution, singular_triple
-from .linalg import TolerancePolicy, matrix_norm, rank_of
+from .linalg import TolerancePolicy, matrix_norm
 from .lqsolve import (
     HorizonTooShortError,
     InfeasibleProblemError,
@@ -116,8 +117,10 @@ def _certificate(args, problem: LqProblem, pol: TolerancePolicy):
         X = _load_riccati_matrix(args.riccati)
         try:
             return certify(problem.triple, X, pol), "file"
-        except (NotRiccatiSolutionError, ValueError) as exc:
+        except NotRiccatiSolutionError as exc:
             raise _CliError(f"candidate rejected: {exc}", EXIT_NO_RICCATI) from exc
+        except ValueError as exc:
+            raise _CliError(f"invalid candidate: {exc}", EXIT_BAD_INPUT) from exc
     try:
         return iterate_grde(problem.triple, pol=pol), "iterated"
     except RiccatiIterationError as exc:
@@ -192,7 +195,7 @@ def _cmd_solve(args):
         "costate": _mat(sol.costate),
         "chi": _mat(sol.chi),
         "free_boundary_dim": int(sol.free_boundary.shape[1]),
-        "free_control_dim": sol.steering.shape[1] - rank_of(sol.steering, pol),
+        "free_control_dim": sol.free_control_dim,
         "free_boundary": _mat(sol.free_boundary),
         "steering": _mat(sol.steering),
     }

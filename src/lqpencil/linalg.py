@@ -1,16 +1,16 @@
 """Rank-revealing linear algebra with a single shared tolerance policy.
 
-Every rank decision in this package goes through one of two entry
-points, so that one `TolerancePolicy` controls them all:
-:func:`rank_of`, from singular values alone, and :func:`ranked_svd`,
-one SVD whose :class:`RankedSvd` gives the image, its orthogonal
+Every rank decision in this package goes through one entry point, so
+that one `TolerancePolicy` controls them all: :func:`ranked_svd`, one
+SVD whose :class:`RankedSvd` gives the rank, the image, its orthogonal
 complement, the kernel, the pseudo-inverse and the solution of an
-affine system ``F x = g`` with its feasibility.  Rank cutoffs follow
-the usual SVD convention, and :func:`_svd_cutoff` alone writes it out:
+affine system ``F x = g`` with its feasibility.  An object that owns a
+matrix keeps its one factorisation, and each caller re-ranks it under
+its own policy with :meth:`RankedSvd.ranked`.  Rank cutoffs follow the
+usual SVD convention, and :func:`_svd_cutoff` alone writes it out:
 ``model.factor_cost`` (on the eigenvalues of Pi) and the pencil's
-infinite structure (on the powers of P_inf) call it too, and the
-stationarity check fits its multiplier by :func:`ranked_svd`.  The one
-rank decision outside the policy is the oracle's reduced solve, whose
+infinite structure (on the powers of P_inf) call it too.  The one rank
+decision outside the policy is the oracle's reduced solve, whose
 pivoted Cholesky stops at the machine-precision cutoff
 ``oracle.CHOLESKY_RANK_TOL``.
 
@@ -26,8 +26,10 @@ column norms, using ``max column norm <= ||E||_2 <= ||E||_F``, and
 computes spectral norms only when those bounds leave the decision
 open, or when a sum of squares could overflow and the bounds would
 mean nothing.  Every norm a caller reports or keeps is an exact
-spectral norm: :func:`matrix_norm`, or the largest singular value of a
-:func:`ranked_svd` the caller takes anyway.
+spectral norm: :func:`matrix_norm`, the largest singular value of a
+:func:`ranked_svd` the caller takes anyway, or, for a symmetric matrix,
+the largest eigenvalue modulus of the eigendecomposition its owner
+keeps.
 """
 
 from __future__ import annotations
@@ -102,11 +104,6 @@ def _svd_cutoff(s, shape, pol):
     return pol.rank_rel_tol * max(shape) * smax
 
 
-def _svd_rank(s, shape, pol):
-    """The number of singular values above the policy cutoff."""
-    return int(np.count_nonzero(s > _svd_cutoff(s, shape, pol)))
-
-
 def _fix_signs(B):
     """Flip basis columns so the largest-magnitude entry is positive.
 
@@ -118,17 +115,6 @@ def _fix_signs(B):
         lead = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
         B[:, lead < 0] *= -1
     return B
-
-
-def rank_of(M, pol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Numerical rank via SVD with the policy's relative cutoff.
-
-    Accepts real or complex matrices.
-    """
-    A = _as_matrix(M)
-    if 0 in A.shape:
-        return 0
-    return _svd_rank(np.linalg.svd(A, compute_uv=False), A.shape, pol)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,9 +164,10 @@ class RankedSvd:
 
     def ranked(self, pol: TolerancePolicy) -> "RankedSvd":
         """The same factorisation with the rank that pol's cutoff gives
-        it, for a caller that keeps one SVD across policies."""
-        return RankedSvd(self.M, self.U, self.s, self.Vt,
-                         _svd_rank(self.s, self.M.shape, pol))
+        it, the count of singular values above it: the package's one
+        rank rule, which a caller keeping one SVD applies per policy."""
+        rank = np.count_nonzero(self.s > _svd_cutoff(self.s, self.M.shape, pol))
+        return RankedSvd(self.M, self.U, self.s, self.Vt, int(rank))
 
     def solve(self, g, pol: TolerancePolicy = DEFAULT_POLICY):
         """Solve ``M x = g`` in the least-squares sense.
@@ -212,8 +199,7 @@ def ranked_svd(M, pol: TolerancePolicy = DEFAULT_POLICY, full: bool = True) -> R
     A = _as_matrix(M)
     if 0 in A.shape:
         return RankedSvd(A, np.eye(A.shape[0]), np.zeros(0), np.eye(A.shape[1]), 0)
-    U, s, Vt = np.linalg.svd(A, full_matrices=full)
-    return RankedSvd(A, U, s, Vt, _svd_rank(s, A.shape, pol))
+    return RankedSvd(A, *np.linalg.svd(A, full_matrices=full), 0).ranked(pol)
 
 
 def matrix_norm(M) -> float:

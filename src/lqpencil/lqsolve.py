@@ -194,6 +194,8 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     reachable : bool
         Whether the required endpoint displacement lies in im R1, by
         the feasibility rule of :meth:`~lqpencil.linalg.RankedSvd.solve`.
+    free_dim : int
+        The dimension of ker R1, from the same SVD.
 
     Raises
     ------
@@ -217,8 +219,9 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
         raise DecompositionError("steering rows are not finite")
     if not np.isfinite(target_norm):
         raise DecompositionError("steering target is not finite")
-    u_stack, reachable = ranked_svd(R1, pol, full=False).solve(target, pol)
-    return u_stack, R1, reachable
+    steering = ranked_svd(R1, pol, full=False)
+    u_stack, reachable = steering.solve(target, pol)
+    return u_stack, R1, reachable, R1.shape[1] - steering.rank
 
 
 def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
@@ -238,7 +241,7 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     constraint V [x(0); x(T)] = v; the remaining 2n - q rows impose
     transversality, [-lambda(0); lambda(T)] - H e in im V' with
     e = [x(0) - h0; x(T) - hT], projected onto ker V (where the
-    multiplier cannot absorb it).
+    multiplier cannot absorb it); ker V is read off the boundary's SVD of V.
     """
     n, r = dec.n, dec.r
     U1, U2 = dec.U[:, :r], dec.U[:, r:]
@@ -256,7 +259,7 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     ends = np.vstack([x0, xT])
     turn = np.vstack([X @ x0 - l0, lT - X @ xT])    # [lambda(0); -lambda(T)]
 
-    K = ranked_svd(bd.V, pol).kernel
+    K = bd._v_svd.ranked(pol).kernel
     F = np.vstack([bd.V @ ends, K.T @ (bd.H @ ends + turn)])
     g = np.concatenate([bd.v, K.T @ bd.H @ np.concatenate([bd.h0, bd.hT])])
     return F, g
@@ -287,8 +290,8 @@ class LqSolution:
     ``free_boundary`` spans the directions in chi space along which the
     boundary system stays satisfied; at fixed chi, the cost-neutral
     changes of the stacked free inputs are the kernel of the
-    ``steering`` rows R1 (see :func:`control_free_param`).  ``costate``
-    holds the Lagrange multipliers of the dynamics.
+    ``steering`` rows R1 (see :func:`control_free_param`), of dimension
+    ``free_control_dim``.  ``costate`` holds the dynamics' multipliers.
     """
 
     x: np.ndarray
@@ -298,6 +301,7 @@ class LqSolution:
     chi: np.ndarray
     free_boundary: np.ndarray
     steering: np.ndarray
+    free_control_dim: int
     residuals: StationarityReport
     r: int
     m1: int
@@ -330,13 +334,13 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     inp = worst_row(xs[:-1] @ tr.S + lams[1:] @ tr.B + us @ tr.R.T)
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
-    # Least squares under the policy's rank cutoff.  With q = 0, V' has
-    # no columns: eta is empty and tv is |rhs|.
-    fit = ranked_svd(bd.V.T, pol, full=False)
-    eta = fit.pinv @ rhs
+    # Least squares by pinv(V)' from the boundary's SVD of V, under the policy's
+    # cutoff (eta is empty when q = 0); ||Pi||, ||H|| are the max |eigenvalue|s.
+    fit = bd._v_svd.ranked(pol)
+    eta = fit.pinv.T @ rhs
     tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
     data_scale = 1.0 + max(matrix_norm(tr.A), matrix_norm(tr.B),
-                           matrix_norm(tr.pi), matrix_norm(bd.H),
+                           tr._pi_eig[2], bd._h_eig[2],
                            np.max(fit.s, initial=0.0))
     traj_scale = 1.0 + max(np.max(np.abs(W), initial=0.0) for W in (xs, lams, us))
     scale = data_scale * traj_scale
@@ -412,8 +416,8 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
 
     x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
     swept = _sweep(dec, T_h, x2_0, l2T)
-    u_free, steering, reachable = control_free_param(dec, T_h, x1_0, x1_T,
-                                                     swept[3], pol)
+    u_free, steering, reachable, free_dim = control_free_param(
+        dec, T_h, x1_0, x1_T, swept[3], pol)
     if not reachable:
         raise HorizonTooShortError(
             "required endpoint displacement is outside the horizon's reach")
@@ -427,4 +431,4 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
     return LqSolution(
         x=xs, u=us, costate=lams, cost=evaluate_cost(problem, xs, us),
         chi=chi, free_boundary=boundary.kernel, steering=steering,
-        residuals=report, r=r, m1=dec.m1, m2=dec.m2)
+        free_control_dim=free_dim, residuals=report, r=r, m1=dec.m1, m2=dec.m2)

@@ -30,7 +30,7 @@ from .linalg import (
     _as_vector,
     _fix_signs,
     _svd_cutoff,
-    rank_of,
+    ranked_svd,
 )
 
 
@@ -62,6 +62,12 @@ def _frozen_vec(v, name="vector"):
     a = np.array(_as_vector(v, name), dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _sym_eigh(M):
+    """(w, W, max |w|): the eigh of 0.5 (M + M'), eigenvalues ascending."""
+    w, W = np.linalg.eigh(0.5 * (M + M.T))
+    return w, W, np.abs(w).max(initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,11 @@ class PopovTriple:
         pi = np.block([[self.Q, self.S], [self.S.T, self.R]])
         pi.setflags(write=False)
         return pi
+
+    @cached_property
+    def _pi_eig(self):
+        """:func:`_sym_eigh` of Pi, taken on first use."""
+        return _sym_eigh(self.pi)
 
 
 @dataclass(frozen=True)
@@ -166,6 +177,16 @@ class BoundarySpec:
         V.setflags(write=False)
         return V
 
+    @cached_property
+    def _v_svd(self):
+        """The full SVD of V, taken on first use and ranked by each caller."""
+        return ranked_svd(self.V)
+
+    @cached_property
+    def _h_eig(self):
+        """:func:`_sym_eigh` of H, taken on first use."""
+        return _sym_eigh(self.H)
+
     @classmethod
     def unconstrained(cls, n: int) -> "BoundarySpec":
         """Free endpoints: q = 0 and zero penalty."""
@@ -191,22 +212,20 @@ class LqProblem:
                 "boundary data dimension does not match state dimension")
 
 
-def _symmetric_psd(M, name, error, pol):
+def _symmetric_psd(M, eig, name, error, pol):
     """Check that M is symmetric positive semidefinite, by one rule.
 
-    With (w, W) the eigendecomposition of 0.5 (M + M') and
-    s = max |w|, M is rejected when ||M - M'||_F or -min w exceeds
-    ``residual_tol * (1 + s)``, by raising ``error`` naming M.
-    Returns (w, W, s), eigenvalues ascending.
+    With (w, W, s) = eig, the :func:`_sym_eigh` of M, M is rejected
+    when ||M - M'||_F or -min w exceeds ``residual_tol * (1 + s)``, by
+    raising ``error`` naming M.  Returns eig.
     """
-    w, W = np.linalg.eigh(0.5 * (M + M.T))
-    scale = np.abs(w).max(initial=0.0)
+    w, _, scale = eig
     bound = pol.residual_tol * (1.0 + scale)
     if np.linalg.norm(M - M.T) > bound:
         raise error(f"{name} is not symmetric")
     if w.size and w[0] < -bound:
         raise error(f"{name} is not positive semidefinite")
-    return w, W, scale
+    return eig
 
 
 def validate(problem: LqProblem, pol: TolerancePolicy = DEFAULT_POLICY) -> LqProblem:
@@ -223,10 +242,10 @@ def validate(problem: LqProblem, pol: TolerancePolicy = DEFAULT_POLICY) -> LqPro
     ------
     IndefiniteCostError, IndefinitePenaltyError, ConstraintRankError
     """
-    _symmetric_psd(problem.triple.pi, "stage cost Pi", IndefiniteCostError, pol)
-    _symmetric_psd(problem.boundary.H, "endpoint penalty H",
-                   IndefinitePenaltyError, pol)
-    if rank_of(problem.boundary.V, pol) < problem.boundary.q:
+    tr, bd = problem.triple, problem.boundary
+    _symmetric_psd(tr.pi, tr._pi_eig, "stage cost Pi", IndefiniteCostError, pol)
+    _symmetric_psd(bd.H, bd._h_eig, "endpoint penalty H", IndefinitePenaltyError, pol)
+    if bd._v_svd.ranked(pol).rank < bd.q:
         raise ConstraintRankError("[V0 VT] is row-rank deficient")
     return problem
 
@@ -235,14 +254,14 @@ def factor_cost(triple: PopovTriple, pol: TolerancePolicy = DEFAULT_POLICY):
     """Factor the stage cost as Pi = [C D]' [C D].
 
     Returns (C, D) with C of shape (p, n) and D of shape (p, m) where
-    p = rank(Pi).  Built from the eigendecomposition of
-    0.5 (Pi + Pi'), keeping eigenvalues above the rank cutoff.  A Pi
-    that is not symmetric, or has an eigenvalue more negative than
+    p = rank(Pi).  Built from the eigendecomposition of 0.5 (Pi + Pi')
+    that the triple keeps, keeping eigenvalues above the rank cutoff.
+    A Pi that is not symmetric, or has an eigenvalue more negative than
     ``-residual_tol * (1 + s)`` (s the largest eigenvalue modulus),
     raises IndefiniteCostError.  Rows are ordered by decreasing
     eigenvalue with deterministic signs.
     """
-    w, W, scale = _symmetric_psd(triple.pi, "stage cost Pi",
+    w, W, scale = _symmetric_psd(triple.pi, triple._pi_eig, "stage cost Pi",
                                  IndefiniteCostError, pol)
     w = w[::-1]
     W = _fix_signs(W[:, ::-1])

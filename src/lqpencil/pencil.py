@@ -37,7 +37,6 @@ from .linalg import (
     TolerancePolicy,
     _svd_cutoff,
     norm_exceeds,
-    rank_of,
     ranked_svd,
 )
 from .model import PopovTriple
@@ -201,27 +200,25 @@ class PencilDecomposition:
 def _reachable_staging(A, B, pol):
     """Stage the reachable subspace of (A, B) in one Krylov pass.
 
-    Grows the stack [B, AB, A^2 B, ...] one block at a time and stops
-    when its rank does not rise, reaches dim A, or the stack holds
-    dim A blocks.  One SVD of that last stack splits R^n into the
-    reachable subspace (orthonormal basis U1, r = its dimension) and its
-    orthogonal complement (U2).  The controllability index of the
-    reachable block is the fewest blocks whose stack has rank r.
+    Grows the stack [B, AB, A^2 B, ...] one block at a time, ranking
+    each stack by one SVD, and stops when the rank does not rise,
+    reaches dim A, or the stack holds dim A blocks.  The SVD of that
+    last stack splits R^n into the reachable subspace (orthonormal basis
+    U1, r = its rank) and its orthogonal complement (U2).  The
+    controllability index of the reachable block is the fewest blocks
+    whose stack has rank r.
 
     Returns (U1, U2, index).
     """
     n = A.shape[0]
-    stack, block, ranks = B, B, [0, rank_of(B, pol)]
+    svd = ranked_svd(B, pol)
+    stack, block, ranks = B, B, [0, svd.rank]
     while ranks[-2] < ranks[-1] < n and len(ranks) <= n:
         block = A @ block
         stack = np.hstack([stack, block])
-        ranks.append(rank_of(stack, pol))
-    svd = ranked_svd(stack, pol)
-    r = svd.rank
-    # r and ranks[-1] rank the same stack by SVDs with and without
-    # vectors, which may round apart; the whole stack has rank r.
-    index = next((k for k, rank in enumerate(ranks) if rank >= r),
-                 len(ranks) - 1)
+        svd = ranked_svd(stack, pol)
+        ranks.append(svd.rank)
+    index = next(k for k, rank in enumerate(ranks) if rank >= svd.rank)
     return svd.image, svd.complement, index
 
 
@@ -230,8 +227,8 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
     """Stage the closed-loop pair (A_X, B2) into reachable/unreachable blocks.
 
     The basis U and the controllability index come from one rank
-    sequence of the Krylov stack of (A_X, B2) (see
-    :func:`_reachable_staging`).
+    sequence of the Krylov stack of (A_X, B2), the last rank and the
+    basis from one SVD (see :func:`_reachable_staging`).
 
     Raises
     ------

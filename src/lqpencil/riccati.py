@@ -29,11 +29,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     DimensionMismatchError,
+    RankedSvd,
     TolerancePolicy,
     _as_matrix,
     matrix_norm,
     norm_exceeds,
-    rank_of,
     ranked_svd,
 )
 from .model import PopovTriple, factor_cost
@@ -80,26 +80,26 @@ def _check_candidate(sigma: PopovTriple, X, pol) -> np.ndarray:
 
 
 def _derived(sigma: PopovTriple, X, pol):
-    """S_X, R_X (symmetrised) and R_X^+: what one Riccati update reads."""
+    """S_X and the ranked SVD of R_X (symmetrised): what one update reads."""
     S_X = sigma.A.T @ X @ sigma.B + sigma.S
     R_X = sigma.R + sigma.B.T @ X @ sigma.B
-    R_X = 0.5 * (R_X + R_X.T)
-    return S_X, R_X, ranked_svd(R_X, pol).pinv
+    return S_X, ranked_svd(0.5 * (R_X + R_X.T), pol)
 
 
 def _evaluate(sigma: PopovTriple, X, pol):
     """Check a candidate and compute, once, everything its tests read.
 
-    Returns (X, S_X, R_X, K_X, G_X, residual, violation) with X
-    symmetrised, the residual matrix X - A'XA + S_X R_X^+ S_X' - Q and
-    the violation ||S_X G_X||, which is zero iff ker R_X <= ker S_X.
+    Returns (X, S_X, R_X_svd, K_X, G_X, residual, violation): X
+    symmetrised, the SVD of R_X, the residual X - A'XA + S_X R_X^+ S_X' - Q
+    and the violation ||S_X G_X||, which is zero iff ker R_X <= ker S_X.
     """
     X = _check_candidate(sigma, X, pol)
-    S_X, R_X, Rp = _derived(sigma, X, pol)
+    S_X, R_X_svd = _derived(sigma, X, pol)
+    Rp = R_X_svd.pinv
     K_X = Rp @ S_X.T
-    G_X = np.eye(sigma.m) - Rp @ R_X
+    G_X = np.eye(sigma.m) - Rp @ R_X_svd.M
     residual = X - sigma.A.T @ X @ sigma.A + S_X @ Rp @ S_X.T - sigma.Q
-    return X, S_X, R_X, K_X, G_X, residual, matrix_norm(S_X @ G_X)
+    return X, S_X, R_X_svd, K_X, G_X, residual, matrix_norm(S_X @ G_X)
 
 
 def _threshold(sigma: PopovTriple, X, pol) -> float:
@@ -109,13 +109,14 @@ def _threshold(sigma: PopovTriple, X, pol) -> float:
 
 @dataclass(frozen=True)
 class RiccatiCertificate:
-    """A CGDARE solution X together with its derived closed-loop data
-    and the residual norms that certified it."""
+    """A CGDARE solution X together with its derived closed-loop data,
+    the SVD of R_X it took and the residual norms that certified it."""
 
     sigma: PopovTriple
     X: np.ndarray
     S_X: np.ndarray
     R_X: np.ndarray
+    R_X_svd: RankedSvd
     G_X: np.ndarray
     K_X: np.ndarray
     A_X: np.ndarray
@@ -144,7 +145,7 @@ def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> Ric
 
 def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
     """:func:`certify` on the output of :func:`_evaluate`."""
-    Xs, S_X, R_X, K_X, G_X, res, viol = evaluated
+    Xs, S_X, R_X_svd, K_X, G_X, res, viol = evaluated
     res_norm = matrix_norm(res)
     if norm_exceeds(max(res_norm, viol), pol.residual_tol, sigma.pi, Xs):
         threshold = _threshold(sigma, Xs, pol)
@@ -154,8 +155,8 @@ def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
             gdare_residual=res_norm, kernel_violation=viol)
     C, D = factor_cost(sigma, pol)
     return RiccatiCertificate(
-        sigma=sigma, X=Xs, S_X=S_X, R_X=R_X, G_X=G_X, K_X=K_X,
-        A_X=sigma.A - sigma.B @ K_X, C_X=C - D @ K_X,
+        sigma=sigma, X=Xs, S_X=S_X, R_X=R_X_svd.M, R_X_svd=R_X_svd,
+        G_X=G_X, K_X=K_X, A_X=sigma.A - sigma.B @ K_X, C_X=C - D @ K_X,
         gdare_residual=float(res_norm), kernel_violation=float(viol))
 
 
@@ -187,10 +188,10 @@ def split_inputs(cert: RiccatiCertificate, pol: TolerancePolicy = DEFAULT_POLICY
     """Split input space along im R_X (regular) and ker R_X (free).
 
     R_X is symmetric PSD here, so the two spans are orthogonal
-    complements and [T1 T2] is orthogonal by construction.
-    """
+    complements and [T1 T2] is orthogonal by construction.  Both come
+    from the certificate's SVD of R_X, ranked under ``pol``."""
     R_X = cert.R_X
-    svd = ranked_svd(R_X, pol)
+    svd = cert.R_X_svd.ranked(pol)
     T1, T2 = svd.image, svd.kernel
     R_X0 = T1.T @ R_X @ T1
     return InputSplit(T1=T1, T2=T2, R_X0=0.5 * (R_X0 + R_X0.T),
@@ -202,8 +203,8 @@ def _fixed_point(sigma: PopovTriple, max_iters: int, pol):
     X <- A'XA - S_X R_X^+ S_X' + Q from X_0 = 0."""
     X = np.zeros((sigma.n, sigma.n))
     for _ in range(max_iters):
-        S_X, _, Rp = _derived(sigma, X, pol)
-        X = sigma.A.T @ X @ sigma.A - S_X @ Rp @ S_X.T + sigma.Q
+        S_X, R_X_svd = _derived(sigma, X, pol)
+        X = sigma.A.T @ X @ sigma.A - S_X @ R_X_svd.pinv @ S_X.T + sigma.Q
         X = 0.5 * (X + X.T)
         yield X
 
@@ -295,7 +296,7 @@ def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
     RiccatiIterationError
         A doubling step is singular, which needs an indefinite Pi.
     """
-    if rank_of(sigma.R, pol) == sigma.m:
+    if ranked_svd(sigma.R, pol, full=False).rank == sigma.m:
         iterates = _doubling(sigma, max_iters)
     else:
         iterates = _fixed_point(sigma, max_iters, pol)

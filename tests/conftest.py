@@ -17,7 +17,7 @@ from lqpencil import (
     certify,
 )
 from lqpencil.fixtures import singular_riccati_solution, singular_triple
-from lqpencil.linalg import DEFAULT_POLICY, _as_matrix, matrix_norm, rank_of, ranked_svd
+from lqpencil.linalg import DEFAULT_POLICY, _as_matrix, matrix_norm, ranked_svd
 from lqpencil.lqsolve import _split_chi, _sweep, _trajectories, control_free_param
 from lqpencil.pencil import reachability_decomposition
 from lqpencil.riccati import _evaluate, split_inputs
@@ -35,6 +35,12 @@ def cyclic_problem(h=(1.0, 2.0), horizon: int = 3) -> LqProblem:
         V0=np.eye(n), VT=-np.eye(n), v=np.zeros(n),
         H=np.eye(2 * n), h0=h, hT=h)
     return LqProblem(singular_triple(), int(horizon), boundary)
+
+
+def rank_of(M, pol=DEFAULT_POLICY) -> int:
+    """Numerical rank under the policy cutoff, from one thin
+    :func:`~lqpencil.linalg.ranked_svd`."""
+    return ranked_svd(M, pol, full=False).rank
 
 
 def gdare_residual(sigma, X, pol=DEFAULT_POLICY):
@@ -192,8 +198,8 @@ def rebuild_trajectories(problem, dec, chi, free_shift=0.0):
     along the path the solve itself takes."""
     x1_0, x1_T, x2_0, l2T = _split_chi(dec, chi)
     swept = _sweep(dec, problem.horizon, x2_0, l2T)
-    u_free, _, _ = control_free_param(dec, problem.horizon, x1_0, x1_T,
-                                      swept[3])
+    u_free, *_ = control_free_param(dec, problem.horizon, x1_0, x1_T,
+                                    swept[3])
     return _trajectories(dec, x1_0, swept, u_free + free_shift)
 
 

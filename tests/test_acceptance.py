@@ -42,7 +42,7 @@ from lqpencil.fixtures import (
     singular_riccati_solution,
     singular_triple,
 )
-from lqpencil.linalg import rank_of, ranked_svd
+from lqpencil.linalg import ranked_svd
 from lqpencil.lqsolve import (
     endpoint_gramian,
     solve_with_decomposition,
@@ -62,6 +62,7 @@ from conftest import (
     measured_normal_rank,
     random_regular_problem,
     random_singular_triple,
+    rank_of,
     rebuild_trajectories,
 )
 

@@ -379,6 +379,25 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze-pencil", "verify-riccati"])
+@pytest.mark.parametrize("X, error", [
+    (np.eye(3).tolist(), "X must be 2 x 2"),
+    ([[0.0, 1.0], [0.0, 1.0]], "X is not symmetric"),
+    ([[0.0, float("nan")], [float("nan"), 1.0]], "X contains NaN or Inf"),
+], ids=["wrong-shape", "not-symmetric", "nan-entry"])
+def test_malformed_riccati_candidate_is_bad_input(problem_path, tmp_path, capsys,
+                                                  command, X, error):
+    # one rule for every command that reads --riccati: a malformed
+    # candidate is bad input, and only a CGDARE failure is exit 3
+    xfile = tmp_path / "X.json"
+    xfile.write_text(json.dumps({"X": X}))
+    code, out = run_cli([command, "--problem", problem_path,
+                         "--riccati", str(xfile)], capsys)
+    assert code == EXIT_BAD_INPUT
+    assert last_json(out) == {"command": command, "status": "bad-input",
+                              "error": f"invalid candidate: {error}"}
+
+
 @pytest.mark.parametrize("argv, command, error", [
     (["solve", "--rank-tol", "abc"], "solve", "invalid float value: 'abc'"),
     (["solve", "--problem", bundled_problem_path(), "--bogus"], "solve",

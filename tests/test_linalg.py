@@ -11,7 +11,6 @@ from lqpencil import linalg
 from lqpencil.linalg import (
     matrix_norm,
     norm_exceeds,
-    rank_of,
     ranked_svd,
 )
 
@@ -33,7 +32,7 @@ def test_policy_rejects_nonpositive_tolerances():
 def test_nonfinite_input_rejected():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(NonFiniteMatrixError):
-        rank_of(bad)
+        ranked_svd(bad)
     with pytest.raises(NonFiniteMatrixError):
         ranked_svd(np.array([[np.inf]]))
 
@@ -63,16 +62,16 @@ def test_pseudo_inverse_penrose_properties():
 
 
 def test_rank_examples():
-    assert rank_of(np.zeros((3, 4))) == 0
-    assert rank_of(np.eye(3)) == 3
-    assert rank_of(np.ones((2, 2))) == 1
+    assert ranked_svd(np.zeros((3, 4))).rank == 0
+    assert ranked_svd(np.eye(3)).rank == 3
+    assert ranked_svd(np.ones((2, 2))).rank == 1
     # near-zero singular value below the relative cutoff is dropped
-    assert rank_of(np.diag([1.0, 1e-14])) == 1
+    assert ranked_svd(np.diag([1.0, 1e-14])).rank == 1
 
 
 def test_rank_complex_matrix():
     M = np.array([[1.0 + 1.0j, 0.0], [0.0, 0.0]])
-    assert rank_of(M) == 1
+    assert ranked_svd(M).rank == 1
 
 
 def test_kernel_basis_orthonormal_and_annihilating():
@@ -107,7 +106,7 @@ def test_kernel_image_dimensions_add_up():
         rk = int(rng.integers(0, min(rows, cols) + 1))
         M = (rng.normal(size=(rows, rk)) @ rng.normal(size=(rk, cols))
              if rk else np.zeros((rows, cols)))
-        assert rank_of(M) == rk
+        assert ranked_svd(M, full=False).rank == rk
         svd = ranked_svd(M)
         assert svd.rank == rk
         K, U = svd.kernel, svd.image

@@ -26,7 +26,7 @@ from lqpencil import (
     verify_stationarity,
 )
 from lqpencil.fixtures import bundled_problem_path
-from lqpencil.linalg import matrix_norm, rank_of, ranked_svd
+from lqpencil.linalg import matrix_norm, ranked_svd
 from lqpencil.lqsolve import (
     _stationarity,
     _sweep,
@@ -48,6 +48,7 @@ from conftest import (
     cyclic_problem,
     random_regular_problem,
     random_singular_triple,
+    rank_of,
     rebuild_trajectories,
     simulate,
 )
@@ -239,7 +240,7 @@ def test_steering_stack_overflow_is_decomposition_error():
 
 
 def test_trajectory_param_stacks(sing_dec):
-    _, R1, _ = control_free_param(sing_dec, 3, [0.0], [0.0], np.zeros((3, 1)))
+    _, R1, *_ = control_free_param(sing_dec, 3, [0.0], [0.0], np.zeros((3, 1)))
     assert R1.shape == (1, 3)
     b = sing_dec.B21[0, 0]
     # A_X11 = 1: all columns equal
@@ -263,7 +264,7 @@ def test_steering_rows_and_drift_match_power_sums(r, m2, T):
                                      for t in range(T))
     x1_T = rows @ rng.normal(size=T * m2) + drift
 
-    u, R1, reachable = control_free_param(dec, T, x1_0, x1_T, xi)
+    u, R1, reachable, _ = control_free_param(dec, T, x1_0, x1_T, xi)
     assert reachable
     assert (R1.shape, u.shape) == ((r, T * m2), (T * m2,))
     scale = 1.0 + max(np.abs(W).max(initial=0.0) for W in (rows, drift, x1_T))
@@ -274,8 +275,8 @@ def test_steering_rows_and_drift_match_power_sums(r, m2, T):
 def test_free_control_steering_order():
     # x1(2) = 4 x1(0) + [b, a b] [u2(1); u2(0)] with a = 2, b = 1
     dec = dec_free_only(2.0, 1.0)
-    u, R1, reachable = control_free_param(dec, 2, [0.0], [5.0],
-                                          np.zeros((2, 1)))
+    u, R1, reachable, _ = control_free_param(dec, 2, [0.0], [5.0],
+                                             np.zeros((2, 1)))
     assert reachable
     np.testing.assert_allclose(u, [1.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(R1, [[1.0, 2.0]], atol=1e-14)
@@ -287,16 +288,16 @@ def test_free_control_with_drift():
     # with x1(0) = 0.5 and xi = (1, 0) the inputs must add 5 - 2 - 2 = 1,
     # at minimum norm along [1, 2]
     dec = dec_free_only(2.0, 1.0)
-    u, R1, reachable = control_free_param(dec, 2, [0.5], [5.0],
-                                          np.array([[1.0], [0.0]]))
+    u, R1, reachable, _ = control_free_param(dec, 2, [0.5], [5.0],
+                                             np.array([[1.0], [0.0]]))
     assert reachable
     np.testing.assert_allclose(u, [0.2, 0.4], atol=1e-12)
     np.testing.assert_allclose(R1, [[1.0, 2.0]], atol=1e-14)
 
 
 def test_free_control_minimum_norm_is_constant(sing_dec):
-    u, R1, reachable = control_free_param(sing_dec, 4, [0.0], [1.0],
-                                          np.zeros((4, 1)))
+    u, R1, reachable, _ = control_free_param(sing_dec, 4, [0.0], [1.0],
+                                             np.zeros((4, 1)))
     assert reachable
     np.testing.assert_allclose(u, u[0] * np.ones(4), atol=1e-12)
     assert ranked_svd(R1).kernel.shape == (4, 3)
@@ -304,8 +305,8 @@ def test_free_control_minimum_norm_is_constant(sing_dec):
 
 def test_free_control_unreachable_target():
     dec = dec_free_only(2.0, 0.0)
-    _, _, reachable = control_free_param(dec, 3, [0.0], [1.0],
-                                         np.zeros((3, 1)))
+    _, _, reachable, _ = control_free_param(dec, 3, [0.0], [1.0],
+                                            np.zeros((3, 1)))
     assert not reachable
 
 
@@ -593,7 +594,8 @@ def test_multiplier_fit_drops_directions_below_the_policy_cutoff(cyclic, pol):
     rep = _stationarity(problem, xs, us, lams, pol)
     fit = ranked_svd(V.T, pol)
     assert fit.rank == 1
-    np.testing.assert_array_equal(rep.eta, fit.pinv @ rhs)
+    # the fit reads the one SVD of V, as pinv(V)'
+    np.testing.assert_array_equal(rep.eta, ranked_svd(V, pol).pinv.T @ rhs)
     dropped = fit.Vt[1]
     assert abs(dropped @ rep.eta) <= 1e-15 * np.linalg.norm(rep.eta)
     # numpy's own cutoff would fit the 1e-13 direction with a huge weight

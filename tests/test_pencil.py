@@ -16,10 +16,7 @@ from lqpencil import (
     certify,
     iterate_grde,
 )
-from lqpencil.linalg import (
-    rank_of,
-    ranked_svd,
-)
+from lqpencil.linalg import ranked_svd
 from lqpencil import pencil
 from lqpencil.pencil import (
     PencilDecomposition,
@@ -32,7 +29,7 @@ from lqpencil.pencil import (
 )
 from lqpencil.riccati import InputSplit, split_inputs
 
-from conftest import measured_normal_rank, random_singular_triple, subspace_distance
+from conftest import measured_normal_rank, random_singular_triple, rank_of, subspace_distance
 
 
 def esp_blocks(dec, z):

@@ -22,7 +22,6 @@ from lqpencil import (
 from lqpencil.linalg import (
     DEFAULT_POLICY,
     matrix_norm,
-    rank_of,
     ranked_svd,
 )
 from lqpencil.riccati import (
@@ -38,6 +37,7 @@ from conftest import (
     gdare_residual,
     random_regular_problem,
     random_singular_triple,
+    rank_of,
 )
 
 
