@@ -111,8 +111,9 @@ def _load_riccati_matrix(path: str) -> np.ndarray:
 
 
 def _certificate(args, problem: LqProblem, pol: TolerancePolicy):
-    """Certificate from --riccati when given, else from the fixed-point
-    iteration.  Returns (certificate, source string)."""
+    """Certificate from --riccati when given, else from the Riccati
+    iteration (:func:`~lqpencil.riccati.iterate_grde`).  Returns
+    (certificate, source string)."""
     if args.riccati:
         X = _load_riccati_matrix(args.riccati)
         try:

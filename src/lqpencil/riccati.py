@@ -15,9 +15,11 @@ G_X being the orthogonal projector onto ker R_X.  These drive the
 pencil decomposition and the trajectory parameterization downstream.
 
 A solution is found by iterating the update X <- A'XA - S_X R_X^+ S_X' + Q
-from X = 0.  When R is nonsingular, structure-preserving doubling
-reaches the update's iterate X_(2^k) in k steps; when R is singular,
-the update runs one step at a time.
+from X = 0: single updates while R_X is singular, at most n of them,
+then structure-preserving doubling of the remaining updates, after a
+deflation of the cost-neutral inputs and the states they drive if R_X
+is still singular (Ferrante and Ntogramatzidis, Linear Multilinear
+Algebra 62, 2014).  One route serves every triple.
 """
 
 from __future__ import annotations
@@ -198,21 +200,43 @@ def split_inputs(cert: RiccatiCertificate, pol: TolerancePolicy = DEFAULT_POLICY
                       B1=cert.sigma.B @ T1, B2=cert.sigma.B @ T2)
 
 
-def _fixed_point(sigma: PopovTriple, max_iters: int, pol):
-    """Yield the iterates X_1, ..., X_max_iters of the update
-    X <- A'XA - S_X R_X^+ S_X' + Q from X_0 = 0."""
+def _iterates(sigma: PopovTriple, max_iters: int, pol):
+    """Yield X_1, X_2, ... of the update from X_0 = 0, max_iters updates at most.
+
+    Single updates run while R_X is singular, j <= n of them: by then
+    ker X_j, the states of zero j-step cost, has settled.  The updates
+    from X_j on are those of the shifted triple
+    (A, B; Q + A'X_jA - X_j, S_X, R_X) from 0.  With u = -K_X x + T1 v
+    and x = E y (T1, E orthonormal bases of im R_X and im X_j, or E = I
+    when R_X is nonsingular) it reduces to (E'A_X E, E'B T1;
+    E'(X_(j+1) - X_j)E, 0, T1'R_X T1), whose R is nonsingular: ker X_j
+    holds B ker R_X and every later increment.  Doubling it gives
+    X_(j+k) = X_j + E Y_k E'.
+    """
     X = np.zeros((sigma.n, sigma.n))
-    for _ in range(max_iters):
+    for j in range(min(sigma.n, max_iters) + 1):
         S_X, R_X_svd = _derived(sigma, X, pol)
+        if R_X_svd.rank == sigma.m or j == min(sigma.n, max_iters):
+            break
         X = sigma.A.T @ X @ sigma.A - S_X @ R_X_svd.pinv @ S_X.T + sigma.Q
         X = 0.5 * (X + X.T)
         yield X
+    if R_X_svd.rank == sigma.m and j == 0:
+        yield from _doubling(sigma.A, sigma.B, sigma.Q, sigma.S, sigma.R, max_iters)
+        return
+    E = np.eye(sigma.n) if R_X_svd.rank == sigma.m else ranked_svd(X, pol).image
+    T1, K_X = R_X_svd.image, R_X_svd.pinv @ S_X.T
+    D_X = sigma.Q + sigma.A.T @ X @ sigma.A - X - S_X @ K_X
+    triple = (E.T @ (sigma.A - sigma.B @ K_X) @ E, E.T @ sigma.B @ T1, E.T @ D_X @ E,
+              np.zeros((E.shape[1], T1.shape[1])), T1.T @ R_X_svd.M @ T1)
+    for Y in _doubling(*triple, max_iters - j):
+        yield X + E @ Y @ E.T
 
 
-def _doubling(sigma: PopovTriple, max_iters: int):
-    """Yield the iterates X_1, X_2, X_4, ..., X_(2^k) <= max_iters of
-    the same update by structure-preserving doubling (Chu, Fan, Lin and
-    Wang, Int. J. Control 77, 2004), for nonsingular R.
+def _doubling(A, B, Q, S, R, max_iters: int):
+    """Yield X_1, X_2, X_4, ..., X_(2^k) <= max_iters of the update of
+    (A, B; Q, S, R) from X_0 = 0, for nonsingular R, by structure-
+    preserving doubling (Chu, Fan, Lin and Wang, Int. J. Control 77, 2004).
 
     With A_0 = A - B R^-1 S', G_0 = B R^-1 B', H_0 = Q - S R^-1 S' = X_1
     and W = I + G_k H_k, each step sets A_(k+1) = A_k W^-1 A_k,
@@ -221,12 +245,12 @@ def _doubling(sigma: PopovTriple, max_iters: int):
     """
     if max_iters < 1:
         return
-    n = sigma.n
-    RBS = np.linalg.solve(sigma.R, np.hstack([sigma.B.T, sigma.S.T]))
-    A = sigma.A - sigma.B @ RBS[:, n:]
-    G = sigma.B @ RBS[:, :n]
+    n = A.shape[0]
+    RBS = np.linalg.solve(R, np.hstack([B.T, S.T]))
+    A = A - B @ RBS[:, n:]
+    G = B @ RBS[:, :n]
     G = 0.5 * (G + G.T)
-    H = sigma.Q - sigma.S @ RBS[:, n:]
+    H = Q - S @ RBS[:, n:]
     H = 0.5 * (H + H.T)
     yield H
     updates = 2
@@ -275,14 +299,14 @@ def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
     """Run the Riccati difference iteration X <- A'XA - S_X R_X^+ S_X' + Q
     from X = 0 to a fixed point and certify the limit.
 
-    When R is nonsingular under ``pol`` (rank m), the iterates
-    X_1, X_2, X_4, ... come from structure-preserving doubling, one
-    step per doubling of the update count; otherwise from the update
-    itself.  Convergence is declared when the step from the previous
+    The iterates come from one route for every triple: single updates
+    while R_X is singular under ``pol``, at most n of them, then
+    doubling, of a deflated triple when R_X is still singular (see
+    :func:`_iterates`).  Convergence is declared when the step from the previous
     iterate drops below ``residual_tol * (1 + ||X||) * 1e-3`` (tighter
     than the certification threshold so the limit certifies).
-    ``max_iters`` bounds the Riccati updates: a doubling step from X_k
-    to X_2k counts as k of them.
+    ``max_iters`` bounds the Riccati updates: a doubling step from
+    X_(j+k) to X_(j+2k) counts as k of them.
 
     Raises
     ------
@@ -296,13 +320,9 @@ def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
     RiccatiIterationError
         A doubling step is singular, which needs an indefinite Pi.
     """
-    if ranked_svd(sigma.R, pol, full=False).rank == sigma.m:
-        iterates = _doubling(sigma, max_iters)
-    else:
-        iterates = _fixed_point(sigma, max_iters, pol)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            X = _limit(sigma, iterates, max_iters, pol)
+            X = _limit(sigma, _iterates(sigma, max_iters, pol), max_iters, pol)
     except FloatingPointError as exc:
         raise RiccatiDivergenceError(
             f"Riccati iterates are not finite: {exc}") from exc

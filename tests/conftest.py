@@ -179,6 +179,70 @@ def random_singular_triple(rng):
     return PopovTriple(A, B, pi[:n, :n], pi[:n, n:], pi[n:, n:])
 
 
+def _orthogonal(rng, k):
+    Qm, Rm = np.linalg.qr(rng.normal(size=(k, k)))
+    return Qm * np.sign(np.diag(Rm))
+
+
+def _with_radius(rng, k, rho):
+    """Random k x k matrix scaled to spectral radius rho."""
+    G = rng.normal(size=(k, k))
+    return G * (rho / np.max(np.abs(np.linalg.eigvals(G))))
+
+
+def _boundary(rng, n, q):
+    """q constraint rows [V0 VT] with orthonormal rows, random PSD H."""
+    V = _orthogonal(rng, 2 * n)[:q]
+    Wh = rng.normal(size=(2 * n + 1, 2 * n))
+    return BoundarySpec(V[:, :n], V[:, n:], rng.normal(size=q), Wh.T @ Wh,
+                        rng.normal(size=n), rng.normal(size=n))
+
+
+def z_problem(seed) -> LqProblem:
+    """Draw ``seed`` of the Z family: a singular plant with cost rank p,
+    m = 3 inputs of which ma = 1 is costed, and a free channel of nb
+    states driven by the two cost-neutral inputs.
+
+    Built in hidden coordinates (xa, xb; ua, ub) and rotated by random
+    orthogonal state and input transforms, as the benchmark's singular
+    workload builds it, but drawn once (no redraw until rho(A) <= 1),
+    with the zero dynamics of the costed part at radius 0.3-1.6 and the
+    free block a rotation scaled by 0.9-1.3.  Its seeds are 5000-5299.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    T = int(rng.integers(n + 1, n + 9))
+    q = int(rng.integers(0, 2 * n + 1))
+    nb = 1 + int(rng.integers(0, min(2, n - 1)))
+    p = int(rng.integers(1, 3))
+    m, ma = 3, 1
+    na, mb = n - nb, m - ma
+    Ba = rng.normal(size=(na, ma))
+    D = _orthogonal(rng, p)[:, :ma]
+    G = 0.3 * rng.normal(size=(ma, na))
+    C = D @ G + 0.5 * (np.eye(p) - D @ D.T) @ rng.normal(size=(p, na))
+    Aa = _with_radius(rng, na, rng.uniform(0.3, 1.6)) + Ba @ G
+    A = np.zeros((n, n))
+    A[:na, :na] = Aa
+    A[na:, :na] = 0.5 * rng.normal(size=(nb, na))
+    A[na:, na:] = rng.uniform(0.9, 1.3) * _orthogonal(rng, nb)
+    B = np.zeros((n, m))
+    B[:na, :ma] = Ba
+    B[na:, :ma] = rng.normal(size=(nb, ma))
+    B[na:, ma:] = rng.normal(size=(nb, mb))
+    F = np.zeros((p, n + m))
+    F[:, :na] = C
+    F[:, n:n + ma] = D
+    Tx, Tu = _orthogonal(rng, n), _orthogonal(rng, m)
+    Tz = np.zeros((n + m, n + m))
+    Tz[:n, :n], Tz[n:, n:] = Tx, Tu
+    pi = Tz @ F.T @ F @ Tz.T
+    pi = 0.5 * (pi + pi.T)
+    triple = PopovTriple(Tx @ A @ Tx.T, Tx @ B @ Tu.T, pi[:n, :n], pi[:n, n:],
+                         pi[n:, n:])
+    return LqProblem(triple, T, _boundary(rng, n, q))
+
+
 def attach_random_boundary(rng, triple, dec, extra_horizon=3):
     """Random boundary data with a horizon above the controllability
     index of the reachable block."""

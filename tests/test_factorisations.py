@@ -23,7 +23,7 @@ from lqpencil.lqsolve import solve_with_decomposition
 from lqpencil.pencil import reachability_decomposition
 from lqpencil.riccati import split_inputs
 
-from conftest import cyclic_problem, random_regular_problem
+from conftest import cyclic_problem, random_regular_problem, z_problem
 
 COARSE = TolerancePolicy(rank_rel_tol=1e-6)
 
@@ -65,12 +65,13 @@ def regular_problem():
 
 
 # Decompositions of the whole chain: sym(Pi), sym(H) and V in validate;
-# the route test on R; R_X at each fixed-point iterate (cyclic: two);
-# the certified R_X; the residual and violation norms; the Krylov
-# stacks (cyclic: two); the boundary system; the steering rows (cyclic
-# only); the stationarity norms of A and B.
+# R_X at X_0 = 0 and at each single update while it is singular
+# (cyclic: X_0 and X_1, then X_2 = X_1 stops the iteration); the
+# certified R_X; the residual and violation norms; the Krylov stacks
+# (cyclic: two); the boundary system; the steering rows (cyclic only);
+# the stationarity norms of A and B.
 @pytest.mark.parametrize("make, total", [
-    (cyclic_problem, 15),
+    (cyclic_problem, 14),
     (regular_problem, 10),
 ], ids=["cyclic", "regular"])
 def test_solve_chain_factors_each_matrix_once(factored, make, total):
@@ -116,3 +117,13 @@ def test_split_inputs_reranks_the_certified_svd_of_r_x(factored):
     split = split_inputs(cert, COARSE)
     assert (split.m1, split.m2) == (1, 1)
     assert factored == []
+
+
+def test_iteration_of_a_deflated_triple_factors_a_bounded_count(factored):
+    # Z draw 5029 (n = 5) keeps R_X singular: n single updates, then
+    # the SVDs of R_(X_n) and X_n that deflate it, doubling and the
+    # certificate; at most n + 8 decompositions in all.
+    triple = z_problem(5029).triple
+    assert triple.n == 5
+    iterate_grde(triple)
+    assert len(factored) <= triple.n + 8

@@ -1,6 +1,6 @@
 """Constrained generalized discrete-time Riccati equation: residuals,
-certification, input splitting, the fixed-point iteration, and invariants
-shared by solution pairs."""
+certification, input splitting, the iteration (single updates, then
+doubling), and invariants shared by solution pairs."""
 
 import warnings
 
@@ -27,7 +27,7 @@ from lqpencil.linalg import (
 from lqpencil.riccati import (
     _doubling,
     _evaluate,
-    _fixed_point,
+    _iterates,
     _limit,
     split_inputs,
 )
@@ -38,6 +38,7 @@ from conftest import (
     random_regular_problem,
     random_singular_triple,
     rank_of,
+    z_problem,
 )
 
 
@@ -190,6 +191,13 @@ def test_iterate_single_step_fixed_point():
     np.testing.assert_allclose(cert.X, [[3.0]], atol=1e-12)
 
 
+def test_iterate_without_costed_inputs():
+    # R = 0 and B = 0: after the one single update X_1 = 1, the deflated
+    # triple has no input left, and doubling sums x = 1 + x / 4.
+    cert = iterate_grde(scalar_triple(0.5, 0.0, r=0.0))
+    assert cert.X[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
 def test_iterate_divergence():
     with pytest.raises(RiccatiDivergenceError):
         iterate_grde(scalar_triple(2.0, 0.0))
@@ -200,6 +208,28 @@ def test_iterate_iteration_budget():
         iterate_grde(scalar_triple(2.0, 1.0), max_iters=2)
 
 
+def _update(tr, X):
+    """One update X <- A'XA - S_X R_X^+ S_X' + Q, symmetrised, and
+    whether R_X was nonsingular."""
+    S_X = tr.A.T @ X @ tr.B + tr.S
+    R_X = tr.R + tr.B.T @ X @ tr.B
+    svd = ranked_svd(0.5 * (R_X + R_X.T))
+    X_next = tr.A.T @ X @ tr.A - S_X @ svd.pinv @ S_X.T + tr.Q
+    return 0.5 * (X_next + X_next.T), svd.rank == tr.m
+
+
+def _updates(tr, count):
+    """X_1, ..., X_count from X_0 = 0, one update at a time, and the
+    number j of single updates the iteration runs before it doubles:
+    the first j with R_(X_j) nonsingular, at most n."""
+    X, iterates, regular = np.zeros((tr.n, tr.n)), [], []
+    for _ in range(count):
+        X, nonsingular = _update(tr, X)
+        iterates.append(X)
+        regular.append(nonsingular)
+    return iterates, min([j for j, r in enumerate(regular) if r] + [tr.n])
+
+
 def _spectral_norm_iteration(tr, max_iters):
     """The fixed-point iteration with every test on spectral norms;
     returns the limit and the number of updates, or raises the error
@@ -208,11 +238,7 @@ def _spectral_norm_iteration(tr, max_iters):
     X = np.zeros((tr.n, tr.n))
     bound = 1e12 * (1.0 + matrix_norm(tr.Q))
     for k in range(1, max_iters + 1):
-        S_X = tr.A.T @ X @ tr.B + tr.S
-        R_X = tr.R + tr.B.T @ X @ tr.B
-        Rp = ranked_svd(0.5 * (R_X + R_X.T)).pinv
-        X_next = tr.A.T @ X @ tr.A - S_X @ Rp @ S_X.T + tr.Q
-        X_next = 0.5 * (X_next + X_next.T)
+        X_next, _ = _update(tr, X)
         if matrix_norm(X_next) > bound:
             raise RiccatiDivergenceError("reference diverged")
         step = matrix_norm(X_next - X)
@@ -222,35 +248,63 @@ def _spectral_norm_iteration(tr, max_iters):
     raise RiccatiNoConvergenceError("reference ran out of updates")
 
 
-def _fixed_point_limit(tr, max_iters):
-    return _limit(tr, _fixed_point(tr, max_iters, DEFAULT_POLICY), max_iters,
+def _iterates_limit(tr, max_iters):
+    return _limit(tr, _iterates(tr, max_iters, DEFAULT_POLICY), max_iters,
                   DEFAULT_POLICY)
 
 
-def test_iterate_decisions_match_spectral_norms():
-    # The fixed-point loop settles most iterations with cheap norm
-    # bounds; it must stop at the same update, with the same bytes, as
-    # the plain test.
+def test_iterate_decisions_match_spectral_norms(sing_triple):
+    # The single updates that open the iteration of a singular triple
+    # are the plain updates byte for byte, and the stop rule, which
+    # settles most of them with cheap norm bounds, takes the plain
+    # test's decision on each: on the first min(j, k) updates, j the
+    # single updates run and k those the plain test needs.
     rng = np.random.default_rng(7)
-    checked = 0
-    for i in range(40):
-        tr = random_regular_problem(rng).triple if i % 2 else random_singular_triple(rng)
+    triples = [sing_triple] + [random_singular_triple(rng) for _ in range(20)] + \
+        [z_problem(s).triple for s in range(5000, 5040)]
+    stopped = checked = 0
+    for tr in triples:
+        updates, j = _updates(tr, tr.n)
+        iterates = list(_iterates(tr, tr.n, DEFAULT_POLICY))
+        assert [X.tobytes() for X in iterates[:j]] == \
+            [X.tobytes() for X in updates[:j]]
         try:
             X_ref, k = _spectral_norm_iteration(tr, 500)
-        except RiccatiIterationError as exc:
-            with pytest.raises(type(exc)):
-                _fixed_point_limit(tr, 500)
+        except RiccatiIterationError:
             continue
-        try:
-            certify(tr, X_ref)
-        except NotRiccatiSolutionError:
-            continue
-        assert _fixed_point_limit(tr, 500).tobytes() == X_ref.tobytes()
-        if k > 1:
+        if k <= j:
+            assert _iterates_limit(tr, 500).tobytes() == X_ref.tobytes()
+            stopped += 1
+        if min(j, k - 1):
             with pytest.raises(RiccatiNoConvergenceError):
-                _fixed_point_limit(tr, k - 1)
+                _iterates_limit(tr, min(j, k - 1))
             checked += 1
-    assert checked >= 15
+    assert stopped >= 1 and checked >= 15
+
+
+def test_doubled_iterates_after_the_prefix_are_the_updates():
+    # After j single updates, doubling step i gives X_(j+2^i) of the
+    # update, whether R_(X_j) is nonsingular (the shifted triple) or
+    # still singular after n updates (the deflated one).  Sixteen
+    # updates keep the plain iterates exact enough to compare: on the
+    # Z draws whose optimal cost is zero, the plain iteration grows
+    # rounding errors by up to rho(A)^2 per update.  In `shifted`, R = 0
+    # and Q = I make R_(X_1) = B'B nonsingular: one single update, then
+    # the shifted triple.
+    shifted = PopovTriple([[0.9, 0.5], [0.1, 1.2]], [[1.0], [0.5]], np.eye(2),
+                          np.zeros((2, 1)), [[0.0]])
+    deflated = 0
+    for tr in [shifted] + [z_problem(seed).triple for seed in range(5000, 5040)]:
+        updates, j = _updates(tr, 16)
+        assert (j == 1) if tr is shifted else (j == tr.n)
+        doubled = list(_iterates(tr, 16, DEFAULT_POLICY))[j:]
+        assert len(doubled) == 1 + int(np.log2(16 - j))
+        for i, X in enumerate(doubled):
+            X_ref = updates[j + 2 ** i - 1]
+            scale = matrix_norm(X_ref) + matrix_norm(tr.pi)
+            assert matrix_norm(X - X_ref) <= 1e-10 * scale
+        deflated += not _update(tr, updates[j - 1])[1]
+    assert deflated >= 30
 
 
 def _regular_triples(seed, count):
@@ -267,8 +321,8 @@ def test_doubling_step_equals_fixed_point_update():
     assert all(matrix_norm(tr.S) > 0 for tr in triples)
     assert sum(max(abs(np.linalg.eigvals(tr.A))) > 1 for tr in triples) >= 10
     for tr in triples:
-        doubled = list(_doubling(tr, 64))
-        updates = list(_fixed_point(tr, 64, DEFAULT_POLICY))
+        doubled = list(_doubling(tr.A, tr.B, tr.Q, tr.S, tr.R, 64))
+        updates, _ = _updates(tr, 64)
         assert len(doubled) == 7
         for j, H in enumerate(doubled):
             X = updates[2 ** j - 1]
@@ -304,6 +358,8 @@ def test_doubling_limit_matches_spectral_norm_iteration():
     (scalar_triple(2.0, 0.0), RiccatiDivergenceError),
     # A^2 overflows at the first doubling step
     (scalar_triple(1e200, 0.0), RiccatiDivergenceError),
+    # R = 0 and B = 0: R_X stays 0, and the deflated triple has no input
+    (scalar_triple(2.0, 0.0, r=0.0), RiccatiDivergenceError),
 ])
 def test_iterate_failures_are_typed(tr, error):
     with warnings.catch_warnings():
