@@ -40,10 +40,11 @@ from .lqsolve import (
     solve_with_decomposition,
 )
 from .model import (
+    IndefiniteCostError,
     LqProblem,
     ProblemFormatError,
     ValidationError,
-    factor_cost,
+    _symmetric_psd,
     load_problem,
     validate,
 )
@@ -237,7 +238,8 @@ def _cmd_verify_riccati(args):
     report = _report(args, pol)
     report["problem"] = {"n": sigma.n, "m": sigma.m}
     try:
-        factor_cost(sigma, pol)  # no certificate exists unless Pi >= 0
+        # no certificate exists unless Pi >= 0, whatever the candidate
+        _symmetric_psd(sigma.pi, sigma._pi_eig, "stage cost Pi", IndefiniteCostError, pol)
         evaluated = _evaluate(sigma, X, pol)
     except ValidationError as exc:
         raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc

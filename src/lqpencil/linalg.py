@@ -8,8 +8,8 @@ affine system ``F x = g`` with its feasibility.  An object that owns a
 matrix keeps its one factorisation, and each caller re-ranks it under
 its own policy with :meth:`RankedSvd.ranked`.  Rank cutoffs follow the
 usual SVD convention, and :func:`_svd_cutoff` alone writes it out:
-``model.factor_cost`` (on the eigenvalues of Pi) and the pencil's
-infinite structure (on the powers of P_inf) call it too.  The one rank
+the pencil's infinite structure (on the powers of P_inf) calls it too.
+The one rank
 decision outside the policy is the oracle's reduced solve, whose
 pivoted Cholesky stops at the machine-precision cutoff
 ``oracle.CHOLESKY_RANK_TOL``.

@@ -46,7 +46,6 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _as_vector,
-    matrix_norm,
     ranked_svd,
 )
 from .model import LqProblem, evaluate_cost, validate
@@ -335,12 +334,12 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
     # Least squares by pinv(V)' from the boundary's SVD of V, under the policy's
-    # cutoff (eta is empty when q = 0); ||Pi||, ||H|| are the max |eigenvalue|s.
+    # cutoff (eta is empty when q = 0); ||Pi||, ||H|| are the max |eigenvalue|s,
+    # and the triple keeps ||A||, ||B||.
     fit = bd._v_svd.ranked(pol)
     eta = fit.pinv.T @ rhs
     tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
-    data_scale = 1.0 + max(matrix_norm(tr.A), matrix_norm(tr.B),
-                           tr._pi_eig[2], bd._h_eig[2],
+    data_scale = 1.0 + max(*tr._dynamics_norms, tr._pi_eig[2], bd._h_eig[2],
                            np.max(fit.s, initial=0.0))
     traj_scale = 1.0 + max(np.max(np.abs(W), initial=0.0) for W in (xs, lams, us))
     scale = data_scale * traj_scale

@@ -28,8 +28,7 @@ from .linalg import (
     TolerancePolicy,
     _as_matrix,
     _as_vector,
-    _fix_signs,
-    _svd_cutoff,
+    matrix_norm,
     ranked_svd,
 )
 
@@ -122,6 +121,11 @@ class PopovTriple:
     def _pi_eig(self):
         """:func:`_sym_eigh` of Pi, taken on first use."""
         return _sym_eigh(self.pi)
+
+    @cached_property
+    def _dynamics_norms(self):
+        """(||A||, ||B||), the spectral norms, taken on first use."""
+        return matrix_norm(self.A), matrix_norm(self.B)
 
 
 @dataclass(frozen=True)
@@ -232,8 +236,9 @@ def validate(problem: LqProblem, pol: TolerancePolicy = DEFAULT_POLICY) -> LqPro
     """Certify a problem instance numerically.
 
     Checks that Pi and H are symmetric positive semidefinite by the
-    rule of :func:`factor_cost`: the asymmetry ||M - M'||_F and the
-    most negative eigenvalue of 0.5 (M + M') may not exceed
+    one rule of :func:`_symmetric_psd`, which certification and the
+    CLI's candidate check apply to Pi too: the asymmetry ||M - M'||_F
+    and the most negative eigenvalue of 0.5 (M + M') may not exceed
     ``residual_tol * (1 + s)``, s the largest eigenvalue modulus.
     Checks that [V0 VT] has full row rank under the policy's rank
     cutoff.  Returns the problem unchanged on success.
@@ -248,26 +253,6 @@ def validate(problem: LqProblem, pol: TolerancePolicy = DEFAULT_POLICY) -> LqPro
     if bd._v_svd.ranked(pol).rank < bd.q:
         raise ConstraintRankError("[V0 VT] is row-rank deficient")
     return problem
-
-
-def factor_cost(triple: PopovTriple, pol: TolerancePolicy = DEFAULT_POLICY):
-    """Factor the stage cost as Pi = [C D]' [C D].
-
-    Returns (C, D) with C of shape (p, n) and D of shape (p, m) where
-    p = rank(Pi).  Built from the eigendecomposition of 0.5 (Pi + Pi')
-    that the triple keeps, keeping eigenvalues above the rank cutoff.
-    A Pi that is not symmetric, or has an eigenvalue more negative than
-    ``-residual_tol * (1 + s)`` (s the largest eigenvalue modulus),
-    raises IndefiniteCostError.  Rows are ordered by decreasing
-    eigenvalue with deterministic signs.
-    """
-    w, W, scale = _symmetric_psd(triple.pi, triple._pi_eig, "stage cost Pi",
-                                 IndefiniteCostError, pol)
-    w = w[::-1]
-    W = _fix_signs(W[:, ::-1])
-    keep = w > _svd_cutoff((scale,), w.shape, pol)
-    F = (W[:, keep] * np.sqrt(w[keep])).T
-    return F[:, :triple.n], F[:, triple.n:]
 
 
 def evaluate_cost(problem: LqProblem, xs, us) -> float:

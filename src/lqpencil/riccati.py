@@ -9,17 +9,17 @@ the kernel condition makes the pseudo-inverse term basis-independent.
 Derived from a solution X are the closed-loop quantities
 
     K_X = R_X^+ S_X',   A_X = A - B K_X,   G_X = I - R_X^+ R_X,
-    C_X = C - D K_X     (with Pi = [C D]' [C D]),
 
 G_X being the orthogonal projector onto ker R_X.  These drive the
 pencil decomposition and the trajectory parameterization downstream.
 
 A solution is found by iterating the update X <- A'XA - S_X R_X^+ S_X' + Q
 from X = 0: single updates while R_X is singular, at most n of them,
-then structure-preserving doubling of the remaining updates, after a
-deflation of the cost-neutral inputs and the states they drive if R_X
-is still singular (Ferrante and Ntogramatzidis, Linear Multilinear
-Algebra 62, 2014).  One route serves every triple.
+then structure-preserving doubling, in feedback form, of the remaining
+updates of the shifted triple, after a deflation of the cost-neutral
+inputs and the states they drive if R_X is still singular (Ferrante
+and Ntogramatzidis, Linear Multilinear Algebra 62, 2014).  One route,
+with no branch, serves every triple.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .linalg import (
     norm_exceeds,
     ranked_svd,
 )
-from .model import PopovTriple, factor_cost
+from .model import IndefiniteCostError, PopovTriple, _symmetric_psd
 
 
 class NotSymmetricError(ValueError):
@@ -122,7 +122,6 @@ class RiccatiCertificate:
     G_X: np.ndarray
     K_X: np.ndarray
     A_X: np.ndarray
-    C_X: np.ndarray
     gdare_residual: float
     kernel_violation: float
 
@@ -139,8 +138,7 @@ def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> Ric
         Carrying both residual norms, when either check fails.
     IndefiniteCostError
         When X passes both checks but Pi is not symmetric positive
-        semidefinite, so that the certificate's output matrix C_X does
-        not exist.
+        semidefinite, by the rule of :func:`~lqpencil.model.validate`.
     """
     return _certify(sigma, _evaluate(sigma, X, pol), pol)
 
@@ -155,10 +153,10 @@ def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
             f"X is not a CGDARE solution (residual {res_norm:.3e}, "
             f"kernel violation {viol:.3e}, threshold {threshold:.3e})",
             gdare_residual=res_norm, kernel_violation=viol)
-    C, D = factor_cost(sigma, pol)
+    _symmetric_psd(sigma.pi, sigma._pi_eig, "stage cost Pi", IndefiniteCostError, pol)
     return RiccatiCertificate(
         sigma=sigma, X=Xs, S_X=S_X, R_X=R_X_svd.M, R_X_svd=R_X_svd,
-        G_X=G_X, K_X=K_X, A_X=sigma.A - sigma.B @ K_X, C_X=C - D @ K_X,
+        G_X=G_X, K_X=K_X, A_X=sigma.A - sigma.B @ K_X,
         gdare_residual=float(res_norm), kernel_violation=float(viol))
 
 
@@ -208,10 +206,10 @@ def _iterates(sigma: PopovTriple, max_iters: int, pol):
     from X_j on are those of the shifted triple
     (A, B; Q + A'X_jA - X_j, S_X, R_X) from 0.  With u = -K_X x + T1 v
     and x = E y (T1, E orthonormal bases of im R_X and im X_j, or E = I
-    when R_X is nonsingular) it reduces to (E'A_X E, E'B T1;
-    E'(X_(j+1) - X_j)E, 0, T1'R_X T1), whose R is nonsingular: ker X_j
-    holds B ker R_X and every later increment.  Doubling it gives
-    X_(j+k) = X_j + E Y_k E'.
+    when R_X is nonsingular, j = 0 included) it reduces to the feedback
+    form (E'A_X E, E'B T1; E'(X_(j+1) - X_j)E, T1'R_X T1), whose R is
+    nonsingular: ker X_j holds B ker R_X and every later increment.
+    Doubling it gives X_(j+k) = X_j + E Y_k E'.
     """
     X = np.zeros((sigma.n, sigma.n))
     for j in range(min(sigma.n, max_iters) + 1):
@@ -221,37 +219,32 @@ def _iterates(sigma: PopovTriple, max_iters: int, pol):
         X = sigma.A.T @ X @ sigma.A - S_X @ R_X_svd.pinv @ S_X.T + sigma.Q
         X = 0.5 * (X + X.T)
         yield X
-    if R_X_svd.rank == sigma.m and j == 0:
-        yield from _doubling(sigma.A, sigma.B, sigma.Q, sigma.S, sigma.R, max_iters)
-        return
     E = np.eye(sigma.n) if R_X_svd.rank == sigma.m else ranked_svd(X, pol).image
     T1, K_X = R_X_svd.image, R_X_svd.pinv @ S_X.T
     D_X = sigma.Q + sigma.A.T @ X @ sigma.A - X - S_X @ K_X
-    triple = (E.T @ (sigma.A - sigma.B @ K_X) @ E, E.T @ sigma.B @ T1, E.T @ D_X @ E,
-              np.zeros((E.shape[1], T1.shape[1])), T1.T @ R_X_svd.M @ T1)
+    triple = (E.T @ (sigma.A - sigma.B @ K_X) @ E, E.T @ sigma.B @ T1,
+              E.T @ D_X @ E, T1.T @ R_X_svd.M @ T1)
     for Y in _doubling(*triple, max_iters - j):
         yield X + E @ Y @ E.T
 
 
-def _doubling(A, B, Q, S, R, max_iters: int):
-    """Yield X_1, X_2, X_4, ..., X_(2^k) <= max_iters of the update of
-    (A, B; Q, S, R) from X_0 = 0, for nonsingular R, by structure-
+def _doubling(A, B, Q, R, max_iters: int):
+    """Yield X_1, X_2, X_4, ..., X_(2^k) <= max_iters of the update
+    X <- A'XA - A'XB (R + B'XB)^-1 B'XA + Q of a triple in feedback form
+    (no cross term), from X_0 = 0, for nonsingular R, by structure-
     preserving doubling (Chu, Fan, Lin and Wang, Int. J. Control 77, 2004).
 
-    With A_0 = A - B R^-1 S', G_0 = B R^-1 B', H_0 = Q - S R^-1 S' = X_1
-    and W = I + G_k H_k, each step sets A_(k+1) = A_k W^-1 A_k,
+    With A_0 = A, G_0 = B R^-1 B', H_0 = Q = X_1 and W = I + G_k H_k,
+    each step sets A_(k+1) = A_k W^-1 A_k,
     G_(k+1) = G_k + A_k W^-1 G_k A_k' and H_(k+1) = H_k + A_k' H_k W^-1 A_k,
     so that H_k = X_(2^k).  W is invertible when Pi >= 0.
     """
     if max_iters < 1:
         return
     n = A.shape[0]
-    RBS = np.linalg.solve(R, np.hstack([B.T, S.T]))
-    A = A - B @ RBS[:, n:]
-    G = B @ RBS[:, :n]
+    G = B @ np.linalg.solve(R, B.T)
     G = 0.5 * (G + G.T)
-    H = Q - S @ RBS[:, n:]
-    H = 0.5 * (H + H.T)
+    H = 0.5 * (Q + Q.T)
     yield H
     updates = 2
     while updates <= max_iters:
@@ -301,10 +294,11 @@ def iterate_grde(sigma: PopovTriple, max_iters: int = 5000,
 
     The iterates come from one route for every triple: single updates
     while R_X is singular under ``pol``, at most n of them, then
-    doubling, of a deflated triple when R_X is still singular (see
-    :func:`_iterates`).  Convergence is declared when the step from the previous
-    iterate drops below ``residual_tol * (1 + ||X||) * 1e-3`` (tighter
-    than the certification threshold so the limit certifies).
+    doubling of the shifted triple in feedback form, deflated when R_X
+    is still singular (see :func:`_iterates`).  Convergence is declared
+    when the step from the previous iterate drops below
+    ``residual_tol * (1 + ||X||) * 1e-3`` (tighter than the
+    certification threshold so the limit certifies).
     ``max_iters`` bounds the Riccati updates: a doubling step from
     X_(j+k) to X_(j+2k) counts as k of them.
 

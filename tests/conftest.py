@@ -1,6 +1,7 @@
 """Shared fixtures: the closed-form singular example and its cyclic
 problem, seeded random problem families (regular R > 0 and singular R),
-and checks that only the tests read: the CGDARE residual matrix,
+and checks that only the tests read: the CGDARE residual matrix, the
+cost factor Pi = [C D]' [C D] and the output matrix C_X = C - D K_X,
 subspace distances, and the invariants shared by two CGDARE solutions."""
 
 from dataclasses import dataclass
@@ -11,14 +12,23 @@ import pytest
 from lqpencil import (
     BoundarySpec,
     DimensionMismatchError,
+    IndefiniteCostError,
     LqProblem,
     PopovTriple,
     TolerancePolicy,
     certify,
 )
 from lqpencil.fixtures import singular_riccati_solution, singular_triple
-from lqpencil.linalg import DEFAULT_POLICY, _as_matrix, matrix_norm, ranked_svd
+from lqpencil.linalg import (
+    DEFAULT_POLICY,
+    _as_matrix,
+    _fix_signs,
+    _svd_cutoff,
+    matrix_norm,
+    ranked_svd,
+)
 from lqpencil.lqsolve import _split_chi, _sweep, _trajectories, control_free_param
+from lqpencil.model import _symmetric_psd
 from lqpencil.pencil import reachability_decomposition
 from lqpencil.riccati import _evaluate, split_inputs
 
@@ -46,6 +56,32 @@ def rank_of(M, pol=DEFAULT_POLICY) -> int:
 def gdare_residual(sigma, X, pol=DEFAULT_POLICY):
     """Residual matrix X - A'XA + S_X R_X^+ S_X' - Q of a symmetric candidate."""
     return _evaluate(sigma, X, pol)[5]
+
+
+def factor_cost(triple: PopovTriple, pol: TolerancePolicy = DEFAULT_POLICY):
+    """Factor the stage cost as Pi = [C D]' [C D].
+
+    Returns (C, D) with C of shape (p, n) and D of shape (p, m) where
+    p = rank(Pi).  Built from the eigendecomposition of 0.5 (Pi + Pi')
+    that the triple keeps, keeping eigenvalues above the rank cutoff.
+    A Pi that is not symmetric, or has an eigenvalue more negative than
+    ``-residual_tol * (1 + s)`` (s the largest eigenvalue modulus),
+    raises IndefiniteCostError.  Rows are ordered by decreasing
+    eigenvalue with deterministic signs.
+    """
+    w, W, scale = _symmetric_psd(triple.pi, triple._pi_eig, "stage cost Pi",
+                                 IndefiniteCostError, pol)
+    w = w[::-1]
+    W = _fix_signs(W[:, ::-1])
+    keep = w > _svd_cutoff((scale,), w.shape, pol)
+    F = (W[:, keep] * np.sqrt(w[keep])).T
+    return F[:, :triple.n], F[:, triple.n:]
+
+
+def output_matrix(cert, pol=DEFAULT_POLICY):
+    """C_X = C - D K_X of a certificate, with [C D] from :func:`factor_cost`."""
+    C, D = factor_cost(cert.sigma, pol)
+    return C - D @ cert.K_X
 
 
 def subspace_distance(B1, B2) -> float:
@@ -105,7 +141,8 @@ def check_solution_pair_invariants(c1, c2, pol=DEFAULT_POLICY) -> SolutionPairRe
     scale = 1.0 + matrix_norm(c1.A_X) + matrix_norm(c2.A_X)
     restriction_residual = matrix_norm((c1.A_X - c2.A_X) @ W1) / scale
 
-    output_nulling_residual = max(matrix_norm(c1.C_X @ W1), matrix_norm(c2.C_X @ W2))
+    output_nulling_residual = max(matrix_norm(output_matrix(c1, pol) @ W1),
+                                  matrix_norm(output_matrix(c2, pol) @ W2))
 
     inter1 = ranked_svd(np.vstack([c1.X @ s1.B, s1.R]), pol).kernel
     kernel_intersection_distance = subspace_distance(ker1, inter1)

@@ -60,6 +60,7 @@ from conftest import (
     attach_random_boundary,
     cyclic_problem,
     measured_normal_rank,
+    output_matrix,
     random_regular_problem,
     random_singular_triple,
     rank_of,
@@ -152,7 +153,7 @@ def test_criterion1_riccati_certificate():
             ("K_X", cert.K_X, np.array([[0.0, 0.5], [0.0, 0.5]])),
             ("G_X", cert.G_X, np.array([[0.5, -0.5], [-0.5, 0.5]])),
             ("S_X", cert.S_X, np.array([[0.0, 0.0], [1.0, 1.0]])),
-            ("C_X", cert.C_X, np.array([[0.0, 1.0]]))):
+            ("C_X", output_matrix(cert), np.array([[0.0, 1.0]]))):
         if not np.allclose(got, want, atol=1e-14):
             problems.append(f"{name} deviates: {got.tolist()}")
     if t_best >= 1e-3:

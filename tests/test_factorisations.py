@@ -93,6 +93,20 @@ def test_solve_chain_factors_each_matrix_once(factored, make, total):
     assert len(factored) == total
 
 
+@pytest.mark.parametrize("make", [cyclic_problem, regular_problem],
+                         ids=["cyclic", "regular"])
+def test_second_solve_reads_the_kept_norms_of_a_and_b(factored, make):
+    problem = make()
+    tr = problem.triple
+    cert = iterate_grde(tr)
+    dec = reachability_decomposition(cert, split_inputs(cert))
+    solve_with_decomposition(problem, dec)
+    factored.clear()
+    solve_with_decomposition(problem, dec)
+    assert times_factored(factored, tr.A) == 0
+    assert times_factored(factored, tr.B) == 0
+
+
 def test_validate_reranks_the_kept_svd_of_v(factored):
     # V = diag(1, 1e-8): rank 2 under the default cutoff, 1 under COARSE
     triple = PopovTriple([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])

@@ -22,12 +22,11 @@ from lqpencil import (
 )
 from lqpencil.model import (
     evaluate_cost,
-    factor_cost,
     problem_from_dict,
     problem_to_dict,
 )
 
-from conftest import WRONG_SHAPES, simulate, three_input_document
+from conftest import WRONG_SHAPES, factor_cost, simulate, three_input_document
 
 
 def test_triple_dimensions(sing_triple):

@@ -35,6 +35,7 @@ from lqpencil.riccati import (
 from conftest import (
     check_solution_pair_invariants,
     gdare_residual,
+    output_matrix,
     random_regular_problem,
     random_singular_triple,
     rank_of,
@@ -87,7 +88,7 @@ def test_certify_running_example(sing_triple, sing_cert):
     np.testing.assert_allclose(c.K_X, [[0.0, 0.5], [0.0, 0.5]], atol=1e-14)
     np.testing.assert_allclose(c.A_X, np.diag([1.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(c.G_X, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-14)
-    np.testing.assert_allclose(c.C_X, [[0.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(output_matrix(c), [[0.0, 1.0]], atol=1e-14)
     assert c.gdare_residual <= 1e-12
     assert c.kernel_violation <= 1e-12
 
@@ -148,7 +149,9 @@ def test_split_inputs_all_free():
 
 def test_split_inputs_bases_are_the_separate_rules(sing_cert):
     # T1 and T2 are orthonormal bases of im R_X and ker R_X: [T1 T2] is
-    # orthogonal, T1 has rank_of(R_X) columns and R_X T2 vanishes.
+    # orthogonal, T1 has rank_of(R_X) columns and R_X T2 vanishes.  The
+    # random singular triples have X = 0; Z draws give a nonzero X with
+    # a singular R_X.
     rng = np.random.default_rng(23)
     certs = [sing_cert, certify(scalar_triple(2.0, 1.0), [[2.0 + np.sqrt(5.0)]]),
              certify(scalar_triple(0.5, 1.0, q=0.0, r=0.0), [[0.0]])]
@@ -160,7 +163,9 @@ def test_split_inputs_bases_are_the_separate_rules(sing_cert):
         except RiccatiIterationError:
             pass
     assert len(certs) >= 25
-    for cert in certs:
+    z_certs = [iterate_grde(z_problem(seed).triple) for seed in range(5000, 5020)]
+    assert sum(matrix_norm(c.X) > 1e-6 and split_inputs(c).m2 > 0 for c in z_certs) >= 10
+    for cert in certs + z_certs:
         sp = split_inputs(cert)
         m = cert.R_X.shape[0]
         T = np.hstack([sp.T1, sp.T2])
@@ -316,12 +321,14 @@ def _regular_triples(seed, count):
 
 
 def test_doubling_step_equals_fixed_point_update():
-    # Doubling step j gives X_(2^j) of the fixed-point update.
+    # Doubling step j of the feedback form (A - B R^-1 S', B; Q - S R^-1 S', R)
+    # gives X_(2^j) of the fixed-point update of (A, B; Q, S, R).
     triples = _regular_triples(7, 40)
     assert all(matrix_norm(tr.S) > 0 for tr in triples)
     assert sum(max(abs(np.linalg.eigvals(tr.A))) > 1 for tr in triples) >= 10
     for tr in triples:
-        doubled = list(_doubling(tr.A, tr.B, tr.Q, tr.S, tr.R, 64))
+        K = np.linalg.solve(tr.R, tr.S.T)
+        doubled = list(_doubling(tr.A - tr.B @ K, tr.B, tr.Q - tr.S @ K, tr.R, 64))
         updates, _ = _updates(tr, 64)
         assert len(doubled) == 7
         for j, H in enumerate(doubled):
