@@ -245,10 +245,10 @@ def _cmd_verify_riccati(args):
         raise _CliError(f"invalid problem: {exc}", EXIT_BAD_INPUT) from exc
     except ValueError as exc:
         raise _CliError(f"invalid candidate: {exc}", EXIT_BAD_INPUT) from exc
-    *_, residual_matrix, violation = evaluated
+    *_, residual_matrix, S_X_G_X = evaluated
     report["gdare_residual_matrix"] = _mat(residual_matrix)
     report["gdare_residual_norm"] = matrix_norm(residual_matrix)
-    report["kernel_violation"] = float(violation)
+    report["kernel_violation"] = matrix_norm(S_X_G_X)
     try:
         cert = _certify(sigma, evaluated, pol)
     except NotRiccatiSolutionError:

@@ -320,17 +320,24 @@ def _trajectories(dec: PencilDecomposition, x1_0, swept, u_free_stack):
 
 
 def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
+    """:func:`verify_stationarity` on the trajectories themselves.
+
+    Dynamics, costate recursion and input stationarity are the three
+    row blocks of the extended symplectic difference equation
+    N z(t) - M z(t+1) = 0, z(t) = (x(t), lambda(t), u(t)) with u(T) = 0
+    (M has no input columns), on the pencil the triple keeps: two
+    products over the whole horizon.
+    """
     tr, bd = problem.triple, problem.boundary
-    T_h = problem.horizon
-
-    def worst_row(res):
-        return float(np.max(np.linalg.norm(res, axis=1), initial=0.0))
-
-    dyn = worst_row(xs[1:] - xs[:-1] @ tr.A.T - us @ tr.B.T)
+    n, T_h = tr.n, problem.horizon
+    z = np.zeros((T_h + 1, 2 * n + tr.m))
+    z[:, :n], z[:, n:2 * n], z[:-1, 2 * n:] = xs, lams, us
+    esde = z[:-1] @ tr.esp.N.T - z[1:] @ tr.esp.M.T
+    sq = esde * esde
+    # worst row norm of each block; a block of no columns gives 0
+    dyn, cos, inp = (np.sqrt(sq[:, cols].sum(axis=1).max(initial=0.0))
+                     for cols in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)))
     con = np.linalg.norm(bd.V0 @ xs[0] + bd.VT @ xs[T_h] - bd.v)
-    cos = worst_row(lams[:-1] - xs[:-1] @ tr.Q.T - lams[1:] @ tr.A
-                    - us @ tr.S.T)
-    inp = worst_row(xs[:-1] @ tr.S + lams[1:] @ tr.B + us @ tr.R.T)
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
     # Least squares by pinv(V)' from the boundary's SVD of V, under the policy's
@@ -341,7 +348,7 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
     data_scale = 1.0 + max(*tr._dynamics_norms, tr._pi_eig[2], bd._h_eig[2],
                            np.max(fit.s, initial=0.0))
-    traj_scale = 1.0 + max(np.max(np.abs(W), initial=0.0) for W in (xs, lams, us))
+    traj_scale = 1.0 + np.max(np.abs(z), initial=0.0)
     scale = data_scale * traj_scale
     worst = max(dyn, con, cos, inp, tv)
     return StationarityReport(
@@ -356,8 +363,11 @@ def verify_stationarity(problem: LqProblem, sol: LqSolution,
     """Residuals of the discrete first-order optimality system:
     dynamics, endpoint constraint, costate recursion, input
     stationarity, and endpoint transversality (multiplier fitted by
-    least squares under the policy's rank cutoff).  ``passed`` compares
-    the worst residual against ``residual_tol`` scaled by the data and
+    least squares under the policy's rank cutoff).  The dynamics,
+    costate and input residuals are the worst row norms of the three
+    row blocks of the extended symplectic difference equation
+    N z(t) - M z(t+1), z = (x, lambda, u).  ``passed`` compares the
+    worst residual against ``residual_tol`` scaled by the data and
     trajectory norms."""
     return _stationarity(problem, sol.x, sol.u, sol.costate, pol)
 

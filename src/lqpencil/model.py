@@ -69,6 +69,30 @@ def _sym_eigh(M):
     return w, W, np.abs(w).max(initial=0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class Pencil:
+    """A linear matrix pencil N - z M (square)."""
+
+    N: np.ndarray
+    M: np.ndarray
+
+    def __post_init__(self):
+        N = np.asarray(self.N, dtype=float)
+        M = np.asarray(self.M, dtype=float)
+        if N.shape != M.shape or N.ndim != 2 or N.shape[0] != N.shape[1]:
+            raise DimensionMismatchError("N and M must be square of equal shape")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "M", M)
+
+    @property
+    def size(self) -> int:
+        return self.N.shape[0]
+
+    def at(self, z) -> np.ndarray:
+        """Evaluate N - z M (complex z allowed)."""
+        return self.N - z * self.M
+
+
 @dataclass(frozen=True)
 class PopovTriple:
     """Dynamics (A, B) together with the stage-cost matrix
@@ -116,6 +140,34 @@ class PopovTriple:
         pi = np.block([[self.Q, self.S], [self.S.T, self.R]])
         pi.setflags(write=False)
         return pi
+
+    @cached_property
+    def esp(self) -> Pencil:
+        """The extended symplectic pencil N - z M on stacked
+        (state, costate, input) vectors, read-only, assembled on first
+        use:
+
+            M = [[I, 0,   0],      N = [[A,  0,  B],
+                 [0, -A', 0],           [Q, -I,  S],
+                 [0, -B', 0]]           [S', 0,  R]]
+        """
+        n, m = self.n, self.m
+        In = np.eye(n)
+        M = np.zeros((2 * n + m, 2 * n + m))
+        M[:n, :n] = In
+        M[n:2 * n, n:2 * n] = -self.A.T
+        M[2 * n:, n:2 * n] = -self.B.T
+        N = np.zeros((2 * n + m, 2 * n + m))
+        N[:n, :n] = self.A
+        N[:n, 2 * n:] = self.B
+        N[n:2 * n, :n] = self.Q
+        N[n:2 * n, n:2 * n] = -In
+        N[n:2 * n, 2 * n:] = self.S
+        N[2 * n:, :n] = self.S.T
+        N[2 * n:, 2 * n:] = self.R
+        N.setflags(write=False)
+        M.setflags(write=False)
+        return Pencil(N, M)
 
     @cached_property
     def _pi_eig(self):

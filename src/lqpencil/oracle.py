@@ -215,6 +215,10 @@ def _reduced_hessian(G, V1):
     return np.subtract(G, Gw, out=Gw), W1, W2
 
 
+# Entries moved at a time when the factor is rearranged in place.
+_CHUNK = 1 << 15
+
+
 def _min_norm_psd_solve(Gw, bw):
     """Gw^+ bw for a symmetric PSD Gw, which is overwritten.
 
@@ -228,7 +232,8 @@ def _min_norm_psd_solve(Gw, bw):
     M = Q R costs 2 r^2 (dim - r) flops, and
     Gw^+ = Pi D Q R^-T R^-1 Q' D Pi'.  Q is applied as block
     reflections, never formed; L21 J goes into the factor's unused
-    trailing columns, so J L11 J is the one copy.
+    trailing columns and J L11 J into its first r^2 entries, so no
+    block is copied whole.
     """
     from scipy.linalg.lapack import dpstrf, dtpmqrt, dtpqrt, dtrtrs
 
@@ -246,11 +251,23 @@ def _min_norm_psd_solve(Gw, bw):
         y, _ = dtrtrs(c, y, lower=1, trans=1, overwrite_b=1)
         w[p] = y[:, 0]
         return w
-    top = np.array(c[r - 1::-1, r - 1::-1], order="F")
+    flat = c.reshape(-1, order="F")
     # L21 J as a Fortran-ordered block in the trailing columns of c
-    low = c.reshape(-1, order="F")[r * dim:(2 * dim - r) * r]
-    low = low.reshape(dim - r, r, order="F")
+    low = flat[r * dim:(2 * dim - r) * r].reshape(dim - r, r, order="F")
     low[...] = c[r:, r - 1::-1]
+    # J L11 J in the first r^2 entries: L11 packed column by column (a
+    # block of columns never overwrites one still to move), then the
+    # packed block reversed in place, which is J L11 J in Fortran order
+    top = flat[:r * r]
+    step = max(1, _CHUNK // r)
+    for j in range(0, r, step):
+        k = min(j + step, r)
+        top[j * r:k * r].reshape(r, k - j, order="F")[...] = c[:r, j:k]
+    for i in range(0, r * r // 2, _CHUNK):
+        k = min(_CHUNK, r * r // 2 - i)
+        head, tail = top[i:i + k], top[r * r - i - k:r * r - i]
+        head[:], tail[:] = tail[::-1], head[::-1].copy()
+    top = top.reshape(r, r, order="F")
     top, low, t, _ = dtpqrt(0, min(32, r), top, low,  # 32-column blocks
                             overwrite_a=1, overwrite_b=1)
     y[:r] = y[r - 1::-1]

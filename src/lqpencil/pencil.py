@@ -7,6 +7,11 @@ pencil N - z M acting on stacked (state, costate, input) vectors:
          [0, -A',  0],           [Q, -I,  S],
          [0, -B',  0]]           [S', 0,  R]]
 
+The triple keeps this pencil, assembled once and read-only
+(``PopovTriple.esp``): the Riccati congruence below transforms it, and
+the stationarity check of a solve evaluates the extended symplectic
+difference equation N z(t) = M z(t+1) on it, with z = (x, lambda, u).
+
 When R (hence possibly R_X) is singular the pencil is singular too:
 det(N - zM) may vanish identically.  Given a CGDARE solution X, a pair
 of unimodular transforms turns N - zM into a block-triangular form from
@@ -33,61 +38,17 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_POLICY,
-    DimensionMismatchError,
     TolerancePolicy,
     _svd_cutoff,
     norm_exceeds,
     ranked_svd,
 )
-from .model import PopovTriple
+from .model import Pencil
 from .riccati import InputSplit, RiccatiCertificate
 
 
 class DecompositionError(RuntimeError):
     """An internal consistency check of the pencil decomposition failed."""
-
-
-@dataclass(frozen=True, eq=False)
-class Pencil:
-    """A linear matrix pencil N - z M (square)."""
-
-    N: np.ndarray
-    M: np.ndarray
-
-    def __post_init__(self):
-        N = np.asarray(self.N, dtype=float)
-        M = np.asarray(self.M, dtype=float)
-        if N.shape != M.shape or N.ndim != 2 or N.shape[0] != N.shape[1]:
-            raise DimensionMismatchError("N and M must be square of equal shape")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "M", M)
-
-    @property
-    def size(self) -> int:
-        return self.N.shape[0]
-
-    def at(self, z) -> np.ndarray:
-        """Evaluate N - z M (complex z allowed)."""
-        return self.N - z * self.M
-
-
-def build_esp(sigma: PopovTriple) -> Pencil:
-    """Assemble the extended symplectic pencil of a Popov triple."""
-    n, m = sigma.n, sigma.m
-    In = np.eye(n)
-    M = np.zeros((2 * n + m, 2 * n + m))
-    M[:n, :n] = In
-    M[n:2 * n, n:2 * n] = -sigma.A.T
-    M[2 * n:, n:2 * n] = -sigma.B.T
-    N = np.zeros((2 * n + m, 2 * n + m))
-    N[:n, :n] = sigma.A
-    N[:n, 2 * n:] = sigma.B
-    N[n:2 * n, :n] = sigma.Q
-    N[n:2 * n, n:2 * n] = -In
-    N[n:2 * n, 2 * n:] = sigma.S
-    N[2 * n:, :n] = sigma.S.T
-    N[2 * n:, 2 * n:] = sigma.R
-    return Pencil(N, M)
 
 
 def _triangular_rhs(cert: RiccatiCertificate, z) -> np.ndarray:
@@ -133,7 +94,7 @@ def riccati_congruence(cert: RiccatiCertificate,
         If the residual exceeds that bound at z = 0 or z = 1.
     """
     sigma = cert.sigma
-    esp = build_esp(sigma)
+    esp = sigma.esp
     n, m = sigma.n, sigma.m
     X, K_X, A_X = cert.X, cert.K_X, cert.A_X
     U_X = np.eye(2 * n + m)

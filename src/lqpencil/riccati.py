@@ -25,6 +25,7 @@ with no branch, serves every triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,10 @@ def _derived(sigma: PopovTriple, X, pol):
 def _evaluate(sigma: PopovTriple, X, pol):
     """Check a candidate and compute, once, everything its tests read.
 
-    Returns (X, S_X, R_X_svd, K_X, G_X, residual, violation): X
-    symmetrised, the SVD of R_X, the residual X - A'XA + S_X R_X^+ S_X' - Q
-    and the violation ||S_X G_X||, which is zero iff ker R_X <= ker S_X.
+    Returns (X, S_X, R_X_svd, K_X, G_X, residual, S_X G_X): X
+    symmetrised, the SVD of R_X, the residual matrix
+    X - A'XA + S_X R_X^+ S_X' - Q and the matrix S_X G_X, which is zero
+    iff ker R_X <= ker S_X.  No norm is taken here.
     """
     X = _check_candidate(sigma, X, pol)
     S_X, R_X_svd = _derived(sigma, X, pol)
@@ -101,7 +103,7 @@ def _evaluate(sigma: PopovTriple, X, pol):
     K_X = Rp @ S_X.T
     G_X = np.eye(sigma.m) - Rp @ R_X_svd.M
     residual = X - sigma.A.T @ X @ sigma.A + S_X @ Rp @ S_X.T - sigma.Q
-    return X, S_X, R_X_svd, K_X, G_X, residual, matrix_norm(S_X @ G_X)
+    return X, S_X, R_X_svd, K_X, G_X, residual, S_X @ G_X
 
 
 def _threshold(sigma: PopovTriple, X, pol) -> float:
@@ -112,7 +114,10 @@ def _threshold(sigma: PopovTriple, X, pol) -> float:
 @dataclass(frozen=True)
 class RiccatiCertificate:
     """A CGDARE solution X together with its derived closed-loop data,
-    the SVD of R_X it took and the residual norms that certified it."""
+    the SVD of R_X it took, and the residual matrix and S_X G_X that
+    certified it.  Their spectral norms, ``gdare_residual`` and
+    ``kernel_violation``, are computed on first read: certification
+    decides without them (:func:`~lqpencil.linalg.norm_exceeds`)."""
 
     sigma: PopovTriple
     X: np.ndarray
@@ -122,8 +127,18 @@ class RiccatiCertificate:
     G_X: np.ndarray
     K_X: np.ndarray
     A_X: np.ndarray
-    gdare_residual: float
-    kernel_violation: float
+    residual: np.ndarray
+    S_X_G_X: np.ndarray
+
+    @cached_property
+    def gdare_residual(self) -> float:
+        """||X - A'XA + S_X R_X^+ S_X' - Q||, the spectral norm."""
+        return matrix_norm(self.residual)
+
+    @cached_property
+    def kernel_violation(self) -> float:
+        """||S_X G_X||, the spectral norm; zero iff ker R_X <= ker S_X."""
+        return matrix_norm(self.S_X_G_X)
 
 
 def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> RiccatiCertificate:
@@ -144,10 +159,17 @@ def certify(sigma: PopovTriple, X, pol: TolerancePolicy = DEFAULT_POLICY) -> Ric
 
 
 def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
-    """:func:`certify` on the output of :func:`_evaluate`."""
-    Xs, S_X, R_X_svd, K_X, G_X, res, viol = evaluated
-    res_norm = matrix_norm(res)
-    if norm_exceeds(max(res_norm, viol), pol.residual_tol, sigma.pi, Xs):
+    """:func:`certify` on the output of :func:`_evaluate`.
+
+    Each of the residual matrix and S_X G_X is tested on its own by
+    :func:`~lqpencil.linalg.norm_exceeds`, which is the test of the
+    larger of their norms; the exact norms are taken only on rejection,
+    for the error, or when the certificate's are read.
+    """
+    Xs, S_X, R_X_svd, K_X, G_X, res, SG = evaluated
+    if norm_exceeds(res, pol.residual_tol, sigma.pi, Xs) or \
+            norm_exceeds(SG, pol.residual_tol, sigma.pi, Xs):
+        res_norm, viol = matrix_norm(res), matrix_norm(SG)
         threshold = _threshold(sigma, Xs, pol)
         raise NotRiccatiSolutionError(
             f"X is not a CGDARE solution (residual {res_norm:.3e}, "
@@ -156,8 +178,7 @@ def _certify(sigma: PopovTriple, evaluated, pol) -> RiccatiCertificate:
     _symmetric_psd(sigma.pi, sigma._pi_eig, "stage cost Pi", IndefiniteCostError, pol)
     return RiccatiCertificate(
         sigma=sigma, X=Xs, S_X=S_X, R_X=R_X_svd.M, R_X_svd=R_X_svd,
-        G_X=G_X, K_X=K_X, A_X=sigma.A - sigma.B @ K_X,
-        gdare_residual=float(res_norm), kernel_violation=float(viol))
+        G_X=G_X, K_X=K_X, A_X=sigma.A - sigma.B @ K_X, residual=res, S_X_G_X=SG)
 
 
 @dataclass(frozen=True)
@@ -246,10 +267,13 @@ def _doubling(A, B, Q, R, max_iters: int):
     G = 0.5 * (G + G.T)
     H = 0.5 * (Q + Q.T)
     yield H
+    # the identity and the right-hand side [A_k G_k], allocated once
+    eye, AG = np.eye(n), np.empty((n, 2 * n))
     updates = 2
     while updates <= max_iters:
+        AG[:, :n], AG[:, n:] = A, G
         try:
-            WAG = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+            WAG = np.linalg.solve(eye + G @ H, AG)
         except np.linalg.LinAlgError as exc:
             raise RiccatiIterationError(
                 "doubling step is singular: I + G H is not invertible") from exc
@@ -271,15 +295,20 @@ def _limit(sigma: PopovTriple, iterates, max_iters: int, pol) -> np.ndarray:
 
     Raises RiccatiDivergenceError when an iterate (or its Frobenius
     norm) is not finite or its norm exceeds 1e12 * (1 + ||Q||), and
-    RiccatiNoConvergenceError when the iterates run out first.
+    RiccatiNoConvergenceError when the iterates run out first.  One
+    Frobenius norm per iterate settles the finite check and, when it is
+    at most 1e12 / 2, the divergence test (the spectral norm is at most
+    the Frobenius norm), as the first screen of ``norm_exceeds`` would;
+    only a larger norm runs the full test.
     """
     tol_scale = 1e-3 * pol.residual_tol
     X = np.zeros((sigma.n, sigma.n))
     for X_next in iterates:
         step, X = X_next - X, X_next
-        if not np.isfinite(np.linalg.norm(X)):
+        fro = np.linalg.norm(X)
+        if not np.isfinite(fro):
             raise RiccatiDivergenceError("Riccati iterates are not finite")
-        if norm_exceeds(X, 1e12, sigma.Q):
+        if 2.0 * fro > 1e12 and norm_exceeds(X, 1e12, sigma.Q):
             raise RiccatiDivergenceError("Riccati iterates diverged")
         if not norm_exceeds(step, tol_scale, X):
             return X

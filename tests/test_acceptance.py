@@ -49,7 +49,6 @@ from lqpencil.lqsolve import (
 )
 from lqpencil.model import evaluate_cost
 from lqpencil.pencil import (
-    build_esp,
     generalized_spectrum,
     reachability_decomposition,
     riccati_congruence,
@@ -183,7 +182,7 @@ def test_criterion2_pencil_structure(sing_cert):
     t_best = min(_timed(analyze) for _ in range(5))
     dec, spec = analyze()
 
-    esp = build_esp(sing_cert.sigma)
+    esp = sing_cert.sigma.esp
     if spec.normal_rank != 5:
         problems.append(f"normal rank {spec.normal_rank} != 5")
     if spec.normal_rank != 2 * 2 + dec.m1:
@@ -479,7 +478,7 @@ def test_criterion6_structural_invariants():
     for k, rec in enumerate(_all_records()):
         dec, cert = rec["dec"], rec["cert"]
         U_X, V_X, _, _ = riccati_congruence(cert)
-        p = build_esp(dec.cert.sigma)
+        p = dec.cert.sigma.esp
         for z in (0.0, 1.0):
             prod = U_X @ p.at(z) @ V_X
             rhs = _triangular_rhs_of(cert, z)

@@ -5,7 +5,8 @@ reachability_decomposition -> solve_with_decomposition, the constraint
 matrix V, sym(Pi), sym(H), R_X and the last Krylov stack of (A_X, B2)
 are each factored once, by the object that owns them; a second call
 under another policy ranks the kept factorisation again instead of
-factoring anew."""
+factoring anew.  The certificate's residual norms are taken only when
+read."""
 
 import numpy as np
 import pytest
@@ -67,12 +68,11 @@ def regular_problem():
 # Decompositions of the whole chain: sym(Pi), sym(H) and V in validate;
 # R_X at X_0 = 0 and at each single update while it is singular
 # (cyclic: X_0 and X_1, then X_2 = X_1 stops the iteration); the
-# certified R_X; the residual and violation norms; the Krylov stacks
-# (cyclic: two); the boundary system; the steering rows (cyclic only);
-# the stationarity norms of A and B.
+# certified R_X; the Krylov stacks (cyclic: two); the boundary system;
+# the steering rows (cyclic only); the stationarity norms of A and B.
 @pytest.mark.parametrize("make, total", [
-    (cyclic_problem, 14),
-    (regular_problem, 10),
+    (cyclic_problem, 12),
+    (regular_problem, 8),
 ], ids=["cyclic", "regular"])
 def test_solve_chain_factors_each_matrix_once(factored, make, total):
     problem = make()
@@ -105,6 +105,24 @@ def test_second_solve_reads_the_kept_norms_of_a_and_b(factored, make):
     solve_with_decomposition(problem, dec)
     assert times_factored(factored, tr.A) == 0
     assert times_factored(factored, tr.B) == 0
+
+
+@pytest.mark.parametrize("make", [cyclic_problem, regular_problem],
+                         ids=["cyclic", "regular"])
+def test_certificate_norms_are_taken_when_read(factored, make):
+    problem = make()
+    cert = iterate_grde(problem.triple)
+    dec = reachability_decomposition(cert, split_inputs(cert))
+    solve_with_decomposition(problem, dec)
+    assert times_factored(factored, cert.residual) == 0
+    assert times_factored(factored, cert.S_X_G_X) == 0
+    factored.clear()
+    norms = (cert.gdare_residual, cert.kernel_violation)
+    assert len(factored) == 2
+    assert times_factored(factored, cert.residual) == 1
+    assert times_factored(factored, cert.S_X_G_X) == 1
+    assert (cert.gdare_residual, cert.kernel_violation) == norms
+    assert len(factored) == 2
 
 
 def test_validate_reranks_the_kept_svd_of_v(factored):

@@ -622,6 +622,63 @@ def test_multiplier_fit_matches_lstsq_on_validated_problems(pol):
         checked += 1
 
 
+def stage_residuals(problem, xs, us, lams):
+    """Dynamics, costate and input residuals, one row per stage, each
+    formed by its own recursion: the reference for the check's single
+    evaluation of the extended symplectic difference equation."""
+    tr = problem.triple
+    return (xs[1:] - xs[:-1] @ tr.A.T - us @ tr.B.T,
+            lams[:-1] - xs[:-1] @ tr.Q.T - lams[1:] @ tr.A - us @ tr.S.T,
+            xs[:-1] @ tr.S + lams[1:] @ tr.B + us @ tr.R.T)
+
+
+def esde_problems():
+    """Regular, singular and cyclic problems, a horizon of 1, a problem
+    with no state and one with no input."""
+    rng = np.random.default_rng(2031)
+    regular = [random_regular_problem(rng) for _ in range(12)]
+    singular = [LqProblem(tr, int(rng.integers(1, 8)), BoundarySpec.unconstrained(tr.n))
+                for tr in (random_singular_triple(rng) for _ in range(12))]
+    short = [dataclasses.replace(p, horizon=1) for p in regular[:4]]
+    stateless = LqProblem(PopovTriple(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((0, 0)),
+                                      np.zeros((0, 2)), np.diag([2.0, 0.0])),
+                          3, BoundarySpec.unconstrained(0))
+    inputless = LqProblem(PopovTriple([[0.5, 1.0], [0.0, 2.0]], np.zeros((2, 0)), np.eye(2),
+                                      np.zeros((2, 0)), np.zeros((0, 0))),
+                          4, BoundarySpec.unconstrained(2))
+    return [*regular, *singular, cyclic_problem(), cyclic_problem(horizon=9),
+            *short, stateless, inputless]
+
+
+@pytest.mark.parametrize("problem", esde_problems())
+def test_stationarity_rows_match_the_three_stage_recursions(problem, pol):
+    # On trajectories that are not stationary, each residual must equal
+    # the worst row norm of its own recursion up to float64 rounding:
+    # an entry is a sum of at most k = 2n + m + 1 products, so either
+    # evaluation is within k eps of the sum of their moduli.
+    tr = problem.triple
+    rng = np.random.default_rng(tr.n * 31 + tr.m * 7 + problem.horizon)
+    xs, us, lams = random_trajectories(rng, problem)
+    rep = _stationarity(problem, xs, us, lams, pol)
+    n, k, eps = tr.n, 2 * tr.n + tr.m + 1, np.finfo(float).eps
+    z = np.zeros((problem.horizon + 1, 2 * n + tr.m))
+    z[:, :n], z[:, n:2 * n], z[:-1, 2 * n:] = xs, lams, us
+    moduli = np.abs(z[:-1]) @ np.abs(tr.esp.N).T + np.abs(z[1:]) @ np.abs(tr.esp.M).T
+    blocks = (slice(0, n), slice(n, 2 * n), slice(2 * n, None))
+    got = (rep.dynamics_residual, rep.costate_residual, rep.input_residual)
+    for value, ref, block in zip(got, stage_residuals(problem, xs, us, lams), blocks):
+        worst = np.max(np.linalg.norm(ref, axis=1), initial=0.0)
+        slack = 4 * k * eps * (np.max(np.linalg.norm(moduli[:, block], axis=1), initial=0.0)
+                               + worst)
+        assert abs(value - worst) <= slack
+    if tr.n == 0:
+        assert rep.dynamics_residual == rep.costate_residual == 0.0
+        assert rep.input_residual > 0.0
+    if tr.m == 0:
+        assert rep.input_residual == 0.0
+        assert rep.dynamics_residual > 0.0
+
+
 def test_random_singular_instances_match_oracle(pol):
     rng = np.random.default_rng(509)
     done = 0

@@ -13,6 +13,7 @@ from lqpencil import (
     flatten,
     solve_flat,
 )
+from lqpencil import oracle
 from lqpencil.linalg import ranked_svd
 from lqpencil.model import evaluate_cost
 from lqpencil.oracle import (
@@ -157,6 +158,19 @@ def test_min_norm_psd_solve_matches_pseudo_inverse(dim, rank):
     assert np.linalg.norm(U[:, rank:].T @ got) <= 1e-4 * np.linalg.norm(want)
     if rank == 0:
         assert not got.any()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 50, 79])
+def test_min_norm_psd_solve_rearranges_the_factor_in_any_chunks(rank, monkeypatch):
+    # The factor is rearranged in place, _CHUNK entries at a time; the
+    # data moved, and so the solution, must not depend on the chunk.
+    rng = np.random.default_rng(rank)
+    F = rng.normal(size=(80, rank))
+    Gw, bw = F @ F.T, rng.normal(size=80)
+    want = _min_norm_psd_solve(Gw.copy(), bw)
+    for chunk in (1, 7, 100):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert _min_norm_psd_solve(Gw.copy(), bw).tobytes() == want.tobytes()
 
 
 def test_solve_flat_detects_rank_deficient_inconsistency():

@@ -21,7 +21,6 @@ from lqpencil import pencil
 from lqpencil.pencil import (
     PencilDecomposition,
     _reachable_staging,
-    build_esp,
     canonical_form,
     generalized_spectrum,
     reachability_decomposition,
@@ -81,7 +80,7 @@ def infinite_structure(p):
 
 def test_build_esp_scalar_layout():
     sigma = PopovTriple([[2.0]], [[3.0]], [[5.0]], [[7.0]], [[11.0]])
-    p = build_esp(sigma)
+    p = sigma.esp
     assert p.size == 3
     np.testing.assert_array_equal(p.N, [[2.0, 0.0, 3.0],
                                         [5.0, -1.0, 7.0],
@@ -90,6 +89,9 @@ def test_build_esp_scalar_layout():
                                         [0.0, -2.0, 0.0],
                                         [0.0, -3.0, 0.0]])
     np.testing.assert_array_equal(p.at(2.0), p.N - 2.0 * p.M)
+    # assembled once, and read-only like Pi
+    assert sigma.esp is p
+    assert not (p.N.flags.writeable or p.M.flags.writeable)
 
 
 def assert_rank_structure(spec, esp):
@@ -101,7 +103,7 @@ def assert_rank_structure(spec, esp):
 
 
 def test_esp_rank_running_example(sing_dec):
-    p = build_esp(sing_dec.cert.sigma)
+    p = sing_dec.cert.sigma.esp
     assert p.size == 6
     assert rank_of(p.at(1.0)) == 5
     spec = generalized_spectrum(sing_dec)
@@ -111,7 +113,7 @@ def test_esp_rank_running_example(sing_dec):
 
 def test_congruence_matches_hand_display(sing_cert):
     U_X, V_X, _, _ = riccati_congruence(sing_cert)
-    p = build_esp(sing_cert.sigma)
+    p = sing_cert.sigma.esp
 
     def display(z):
         return np.array([
@@ -163,7 +165,7 @@ def test_determinant_identity_regular_family():
         except (RiccatiDivergenceError, RiccatiNoConvergenceError):
             continue
         riccati_congruence(cert)  # raises if the identity fails at 0, 1
-        p = build_esp(sigma)
+        p = sigma.esp
         for _ in range(3):
             z = complex(rng.normal(), rng.normal())
             lhs = np.linalg.det(p.at(z))
@@ -379,7 +381,7 @@ def test_spectrum_running_example(sing_dec):
     assert abs(ev.value) <= 1e-9
     assert ev.multiplicity == 1
     assert (spec.infinite_algebraic, spec.infinite_geometric) == (2, 1)
-    esp = build_esp(sing_dec.cert.sigma)
+    esp = sing_dec.cert.sigma.esp
     assert rank_of(esp.at(ev.value)) == 4
     assert infinite_structure(esp) == (2, 1)
     assert_rank_structure(spec, esp)
@@ -400,7 +402,7 @@ def test_spectrum_regular_reciprocal_pairs():
     # regular pencil: m1 = 2 infinite eigenvalues, in two 1 x 1 blocks
     assert spec.infinite_algebraic == 2
     assert spec.infinite_geometric == 2
-    esp = build_esp(dec.cert.sigma)
+    esp = dec.cert.sigma.esp
     assert infinite_structure(esp) == (2, 2)
     assert_rank_structure(spec, esp)
 
@@ -416,7 +418,7 @@ def test_spectrum_invariants_random_singular():
             continue
         dec = reachability_decomposition(cert, split_inputs(cert))
         spec = generalized_spectrum(dec)
-        esp = build_esp(dec.cert.sigma)
+        esp = dec.cert.sigma.esp
         assert spec.normal_rank == 2 * sigma.n + dec.m1
         assert_rank_structure(spec, esp)
         assert infinite_structure(esp) == (

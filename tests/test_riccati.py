@@ -19,9 +19,11 @@ from lqpencil import (
     certify,
     iterate_grde,
 )
+from lqpencil import riccati
 from lqpencil.linalg import (
     DEFAULT_POLICY,
     matrix_norm,
+    norm_exceeds,
     ranked_svd,
 )
 from lqpencil.riccati import (
@@ -34,6 +36,7 @@ from lqpencil.riccati import (
 
 from conftest import (
     check_solution_pair_invariants,
+    cyclic_problem,
     gdare_residual,
     output_matrix,
     random_regular_problem,
@@ -45,7 +48,7 @@ from conftest import (
 
 def kernel_condition_violation(sigma, X, pol=DEFAULT_POLICY):
     """Spectral norm of S_X G_X; zero iff ker R_X <= ker S_X."""
-    return _evaluate(sigma, X, pol)[6]
+    return matrix_norm(_evaluate(sigma, X, pol)[6])
 
 
 def scalar_triple(a, b, q=1.0, s=0.0, r=1.0):
@@ -285,6 +288,59 @@ def test_iterate_decisions_match_spectral_norms(sing_triple):
                 _iterates_limit(tr, min(j, k - 1))
             checked += 1
     assert stopped >= 1 and checked >= 15
+
+
+def _reference_limit(sigma, iterates, max_iters, pol):
+    """The stop rule with its three norm passes per iterate: a finite
+    check on np.linalg.norm, the full divergence test, then the step
+    test."""
+    tol_scale = 1e-3 * pol.residual_tol
+    X = np.zeros((sigma.n, sigma.n))
+    for X_next in iterates:
+        step, X = X_next - X, X_next
+        if not np.isfinite(np.linalg.norm(X)):
+            raise RiccatiDivergenceError("Riccati iterates are not finite")
+        if norm_exceeds(X, 1e12, sigma.Q):
+            raise RiccatiDivergenceError("Riccati iterates diverged")
+        if not norm_exceeds(step, tol_scale, X):
+            return X
+    raise RiccatiNoConvergenceError(
+        f"no fixed point within {max_iters} iterations")
+
+
+def _limit_triples():
+    rng = np.random.default_rng(83)
+    return ([random_regular_problem(rng).triple for _ in range(30)]
+            + [cyclic_problem().triple]
+            + [z_problem(seed).triple for seed in range(5000, 5020)])
+
+
+@pytest.mark.parametrize("tr", _limit_triples())
+def test_limit_keeps_the_reference_iterate(tr, monkeypatch):
+    X = iterate_grde(tr).X
+    monkeypatch.setattr(riccati, "_limit", _reference_limit)
+    assert X.tobytes() == iterate_grde(tr).X.tobytes()
+
+
+@pytest.mark.parametrize("tr", [
+    scalar_triple(2.0, 0.0),                     # drift plant: diverges
+    scalar_triple(0.5, 0.0, q=1e155),            # X_1 = 1e155, ||X_1||^2 overflows
+    # the Frobenius screen leaves X = 5.3e11 open; it converges
+    scalar_triple(0.5, 0.0, q=4e11),
+    # ... and leaves X open from the first iterate on; the first state diverges
+    PopovTriple(np.diag([2.0, 0.5]), np.zeros((2, 1)), np.diag([1.0, 3e12]),
+                np.zeros((2, 1)), [[1.0]]),
+])
+def test_limit_raises_as_the_reference(tr, monkeypatch):
+    def outcome():
+        try:
+            return iterate_grde(tr).X.tobytes()
+        except RiccatiIterationError as exc:
+            return type(exc), str(exc)
+
+    got = outcome()
+    monkeypatch.setattr(riccati, "_limit", _reference_limit)
+    assert got == outcome()
 
 
 def test_doubled_iterates_after_the_prefix_are_the_updates():
