@@ -9,9 +9,8 @@ matrix keeps its one factorisation, and each caller re-ranks it under
 its own policy with :meth:`RankedSvd.ranked`.  Rank cutoffs follow the
 usual SVD convention, and :func:`_svd_cutoff` alone writes it out:
 the pencil's infinite structure (on the powers of P_inf) calls it too.
-The one rank
-decision outside the policy is the oracle's reduced solve, whose
-pivoted Cholesky stops at the machine-precision cutoff
+The one rank decision outside the policy is the oracle's reduced
+solve, whose pivoted Cholesky stops at the machine-precision cutoff
 ``oracle.CHOLESKY_RANK_TOL``.
 
 The orthonormal bases are made deterministic by a sign convention:
@@ -30,6 +29,11 @@ spectral norm: :func:`matrix_norm`, the largest singular value of a
 :func:`ranked_svd` the caller takes anyway, or, for a symmetric matrix,
 the largest eigenvalue modulus of the eigendecomposition its owner
 keeps.
+
+A desk-size solve is bound by Python calls, not by its arithmetic, so
+the helpers pass an ndarray of the right ``ndim`` through without a
+copy, and each exact Frobenius norm (a vector's 2-norm) is one dot, by
+:func:`_frobenius`.
 """
 
 from __future__ import annotations
@@ -78,21 +82,21 @@ DEFAULT_POLICY = TolerancePolicy()
 
 def _as_matrix(M, name="matrix"):
     """Coerce to a 2-D ndarray and reject non-finite entries."""
-    A = np.atleast_2d(np.asarray(M))
+    A = M if type(M) is np.ndarray and M.ndim == 2 else np.atleast_2d(np.asarray(M))
     if A.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if A.size and not np.all(np.isfinite(A)):
+    if A.size and not np.isfinite(A).all():
         raise NonFiniteMatrixError(f"{name} contains NaN or Inf")
     return A
 
 
 def _as_vector(v, name="vector"):
-    a = np.asarray(v)
+    a = v if type(v) is np.ndarray and v.ndim == 1 else np.asarray(v)
     if a.ndim == 2 and 1 in a.shape:
         a = a.ravel()
     if a.ndim != 1:
         raise DimensionMismatchError(f"{name} must be 1-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise NonFiniteMatrixError(f"{name} contains NaN or Inf")
     return a
 
@@ -110,11 +114,10 @@ def _fix_signs(B):
     Ties resolve to the first occurrence; makes SVD-derived bases
     deterministic across repeated runs.
     """
-    B = np.array(B)
-    if B.size:
-        lead = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
-        B[:, lead < 0] *= -1
-    return B
+    if not B.size:
+        return np.array(B)
+    lead = B[np.abs(B).argmax(axis=0), np.arange(B.shape[1])]
+    return np.where(lead < 0, -B, B)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +161,7 @@ class RankedSvd:
         """Moore-Penrose pseudo-inverse of the rank-``rank`` truncation:
         singular values at or below the cutoff count as zero."""
         k = len(self.s)
-        s_inv = np.zeros_like(self.s)
+        s_inv = np.zeros(k, self.s.dtype)
         s_inv[:self.rank] = 1.0 / self.s[:self.rank]
         return (self.Vt[:k].T * s_inv) @ self.U[:, :k].T
 
@@ -166,8 +169,8 @@ class RankedSvd:
         """The same factorisation with the rank that pol's cutoff gives
         it, the count of singular values above it: the package's one
         rank rule, which a caller keeping one SVD applies per policy."""
-        rank = np.count_nonzero(self.s > _svd_cutoff(self.s, self.M.shape, pol))
-        return RankedSvd(self.M, self.U, self.s, self.Vt, int(rank))
+        rank = int(np.count_nonzero(self.s > _svd_cutoff(self.s, self.M.shape, pol)))
+        return self if rank == self.rank else RankedSvd(self.M, self.U, self.s, self.Vt, rank)
 
     def solve(self, g, pol: TolerancePolicy = DEFAULT_POLICY):
         """Solve ``M x = g`` in the least-squares sense.
@@ -182,8 +185,8 @@ class RankedSvd:
             raise DimensionMismatchError(
                 f"F has {A.shape[0]} rows but g has {b.shape[0]} entries")
         particular = self.pinv @ b
-        residual = np.linalg.norm(A @ particular - b) if A.shape[0] else 0.0
-        return particular, bool(residual <= pol.residual_tol * (1.0 + np.linalg.norm(b)))
+        residual = _frobenius(A @ particular - b) if A.shape[0] else 0.0
+        return particular, bool(residual <= pol.residual_tol * (1.0 + _frobenius(b)))
 
 
 def _whole(basis, name):
@@ -199,7 +202,8 @@ def ranked_svd(M, pol: TolerancePolicy = DEFAULT_POLICY, full: bool = True) -> R
     A = _as_matrix(M)
     if 0 in A.shape:
         return RankedSvd(A, np.eye(A.shape[0]), np.zeros(0), np.eye(A.shape[1]), 0)
-    return RankedSvd(A, *np.linalg.svd(A, full_matrices=full), 0).ranked(pol)
+    U, s, Vt = np.linalg.svd(A, full_matrices=full)
+    return RankedSvd(A, U, s, Vt, int(np.count_nonzero(s > _svd_cutoff(s, A.shape, pol))))
 
 
 def matrix_norm(M) -> float:
@@ -209,6 +213,13 @@ def matrix_norm(M) -> float:
     if 0 in A.shape:
         return 0.0
     return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def _frobenius(M) -> float:
+    """The Frobenius norm of a real float array by the one dot of
+    ``np.linalg.norm``, equal to it bit for bit; inf and NaN pass."""
+    x = M.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -249,7 +260,7 @@ def norm_exceeds(E, tol, *scales) -> bool:
     the decision comes from the exact spectral norms.  ``E`` may be a
     scalar; the scales are 2-D arrays.
     """
-    E = np.atleast_2d(np.asarray(E))
+    E = E if type(E) is np.ndarray and E.ndim == 2 else np.atleast_2d(np.asarray(E))
     fro = _fro(E)
     # The two screens cannot both hold, so their order only sets the
     # cost: the first test is the pass screen with the column maxima

@@ -38,6 +38,7 @@ reachability matrix), parameterizes *all* optimal trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
     _as_vector,
+    _frobenius,
     ranked_svd,
 )
 from .model import LqProblem, evaluate_cost, validate
@@ -101,7 +103,7 @@ def _sweep(dec: PencilDecomposition, horizon: int, x2_0, l2T):
     terminal[0] = l2T
     lhat2 = _scan(A22.T, terminal)[::-1]
     u1 = np.linalg.solve(dec.split.R_X0, dec.B12.T @ lhat2[1:].T).T
-    x2 = _scan(A22, np.vstack([x2_0, u1 @ dec.B12.T]))
+    x2 = _scan(A22, np.concatenate([[x2_0], u1 @ dec.B12.T]))
     xi = x2[:-1] @ dec.A_X12.T + u1 @ dec.B11.T
     return lhat2, u1, x2, xi
 
@@ -136,7 +138,6 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
     d = A22.shape[0]
     W = dec.B12 @ np.linalg.solve(dec.split.R_X0, dec.B12.T)
     W = 0.5 * (W + W.T)
-    fro = np.linalg.norm
     # An overflow is reported below, as a non-finite gramian.
     with np.errstate(over="ignore", invalid="ignore"):
         # Over the binary digits of T: P sums the terms taken so far and
@@ -155,10 +156,10 @@ def endpoint_gramian(dec: PencilDecomposition, horizon: int,
                 A_k = A_k @ A_k
         P = 0.5 * (P + P.T)
         term = A_done @ W @ A_done.T
-        stein = fro(P - A22 @ P @ A22.T - (W - term))
-        bound = pol.residual_tol * (1.0 + fro(P) * (1.0 + fro(A22) ** 2)
-                                    + fro(W) + fro(term))
-    if not np.isfinite([stein, bound]).all():
+        stein = _frobenius(P - A22 @ P @ A22.T - (W - term))
+        bound = pol.residual_tol * (1.0 + _frobenius(P) * (1.0 + _frobenius(A22) ** 2)
+                                    + _frobenius(W) + _frobenius(term))
+    if not (math.isfinite(stein) and math.isfinite(bound)):
         raise DecompositionError("endpoint gramian is not finite")
     if stein > bound:
         raise DecompositionError(
@@ -212,11 +213,11 @@ def control_free_param(dec: PencilDecomposition, horizon: int, x1_0, x1_T,
     with np.errstate(over="ignore", invalid="ignore"):
         # row k of the scan is (A11^k B21)'
         R1 = _scan(dec.A_X11, seed).transpose(2, 0, 1).reshape(r, horizon * dec.m2)
-        target = x1_T - _scan(dec.A_X11, np.vstack([x1_0, xi]))[-1]
-        target_norm = np.linalg.norm(target)
+        target = x1_T - _scan(dec.A_X11, np.concatenate([[x1_0], xi]))[-1]
+        target_norm = _frobenius(target)
     if not np.isfinite(R1).all():
         raise DecompositionError("steering rows are not finite")
-    if not np.isfinite(target_norm):
+    if not math.isfinite(target_norm):
         raise DecompositionError("steering target is not finite")
     steering = ranked_svd(R1, pol, full=False)
     u_stack, reachable = steering.solve(target, pol)
@@ -248,18 +249,20 @@ def assemble_boundary(problem: LqProblem, dec: PencilDecomposition,
     bd = problem.boundary
     P, A22_pow = endpoint_gramian(dec, problem.horizon, pol)
 
-    # Rows map chi = (x1(0), x1(T), x2(0), l2T) to x(0), x(T) and to
-    # U2 lhat2 at both ends.
-    O1, O2 = np.zeros((n, r)), np.zeros((n, n - r))
-    x0 = np.hstack([U1, O1, U2, O2])
-    xT = np.hstack([O1, U1, U2 @ A22_pow, U2 @ P])
-    l0 = np.hstack([O1, O1, O2, U2 @ A22_pow.T])
-    lT = np.hstack([O1, O1, O2, U2])
-    ends = np.vstack([x0, xT])
-    turn = np.vstack([X @ x0 - l0, lT - X @ xT])    # [lambda(0); -lambda(T)]
+    # Rows map the column blocks of chi = (x1(0), x1(T), x2(0), l2T) to
+    # [x(0); x(T)] and to [lambda(0); -lambda(T)], lambda = X x - U2 lhat2.
+    x1_0, x1_T = slice(0, r), slice(r, 2 * r)
+    x2_0, l2T = slice(2 * r, n + r), slice(n + r, 2 * n)
+    ends, turn = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
+    ends[:n, x1_0], ends[:n, x2_0] = U1, U2
+    ends[n:, x1_T], ends[n:, x2_0], ends[n:, l2T] = U1, U2 @ A22_pow, U2 @ P
+    turn[:n] = X @ ends[:n]
+    turn[:n, l2T] -= U2 @ A22_pow.T
+    turn[n:, l2T] = U2
+    turn[n:] -= X @ ends[n:]
 
     K = bd._v_svd.ranked(pol).kernel
-    F = np.vstack([bd.V @ ends, K.T @ (bd.H @ ends + turn)])
+    F = np.concatenate([bd.V @ ends, K.T @ (bd.H @ ends + turn)])
     g = np.concatenate([bd.v, K.T @ bd.H @ np.concatenate([bd.h0, bd.hT])])
     return F, g
 
@@ -312,8 +315,8 @@ def _trajectories(dec: PencilDecomposition, x1_0, swept, u_free_stack):
     stacked free inputs."""
     lhat2, u1, x2, xi = swept
     u2 = u_free_stack.reshape(len(u1), dec.m2)[::-1]
-    x1 = _scan(dec.A_X11, np.vstack([x1_0, u2 @ dec.B21.T + xi]))
-    xs = np.hstack([x1, x2]) @ dec.U.T
+    x1 = _scan(dec.A_X11, np.concatenate([[x1_0], u2 @ dec.B21.T + xi]))
+    xs = np.concatenate([x1, x2], axis=1) @ dec.U.T
     lams = xs @ dec.cert.X.T - lhat2 @ dec.U[:, dec.r:].T
     us = u1 @ dec.split.T1.T + u2 @ dec.split.T2.T - xs[:-1] @ dec.cert.K_X.T
     return xs, us, lams
@@ -337,7 +340,7 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     # worst row norm of each block; a block of no columns gives 0
     dyn, cos, inp = (np.sqrt(sq[:, cols].sum(axis=1).max(initial=0.0))
                      for cols in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)))
-    con = np.linalg.norm(bd.V0 @ xs[0] + bd.VT @ xs[T_h] - bd.v)
+    con = _frobenius(bd.V0 @ xs[0] + bd.VT @ xs[T_h] - bd.v)
     e = np.concatenate([xs[0] - bd.h0, xs[T_h] - bd.hT])
     rhs = np.concatenate([-lams[0], lams[T_h]]) - bd.H @ e
     # Least squares by pinv(V)' from the boundary's SVD of V, under the policy's
@@ -345,7 +348,7 @@ def _stationarity(problem: LqProblem, xs, us, lams, pol) -> StationarityReport:
     # and the triple keeps ||A||, ||B||.
     fit = bd._v_svd.ranked(pol)
     eta = fit.pinv.T @ rhs
-    tv = float(np.linalg.norm(bd.V.T @ eta - rhs))
+    tv = _frobenius(bd.V.T @ eta - rhs)
     data_scale = 1.0 + max(*tr._dynamics_norms, tr._pi_eig[2], bd._h_eig[2],
                            np.max(fit.s, initial=0.0))
     traj_scale = 1.0 + np.max(np.abs(z), initial=0.0)
@@ -432,8 +435,8 @@ def solve_with_decomposition(problem: LqProblem, dec: PencilDecomposition,
             "required endpoint displacement is outside the horizon's reach")
 
     xs, us, lams = _trajectories(dec, x1_0, swept, u_free)
-    if r and np.linalg.norm(dec.U[:, :r].T @ xs[T_h] - x1_T) > \
-            pol.residual_tol * (1.0 + np.linalg.norm(x1_T)) * 100:
+    if r and _frobenius(dec.U[:, :r].T @ xs[T_h] - x1_T) > \
+            pol.residual_tol * (1.0 + _frobenius(x1_T)) * 100:
         raise DecompositionError("reconstructed x1(T) misses its target")
 
     report = _stationarity(problem, xs, us, lams, pol)

@@ -28,6 +28,7 @@ from .linalg import (
     TolerancePolicy,
     _as_matrix,
     _as_vector,
+    _frobenius,
     matrix_norm,
     ranked_svd,
 )
@@ -229,7 +230,7 @@ class BoundarySpec:
     def V(self) -> np.ndarray:
         """The stacked constraint matrix [V0 VT], q x 2n, read-only,
         assembled on first use."""
-        V = np.hstack([self.V0, self.VT])
+        V = np.concatenate([self.V0, self.VT], axis=1)
         V.setflags(write=False)
         return V
 
@@ -277,7 +278,7 @@ def _symmetric_psd(M, eig, name, error, pol):
     """
     w, _, scale = eig
     bound = pol.residual_tol * (1.0 + scale)
-    if np.linalg.norm(M - M.T) > bound:
+    if _frobenius(M - M.T) > bound:
         raise error(f"{name} is not symmetric")
     if w.size and w[0] < -bound:
         raise error(f"{name} is not positive semidefinite")
@@ -323,7 +324,7 @@ def evaluate_cost(problem: LqProblem, xs, us) -> float:
     us = np.asarray(us, dtype=float).reshape(T, tr.m)
     if xs.shape != (T + 1, tr.n):
         raise DimensionMismatchError("xs must have shape (T+1, n)")
-    Z = np.hstack([xs[:-1], us])
+    Z = np.concatenate([xs[:-1], us], axis=1)
     e = np.concatenate([xs[0] - bd.h0, xs[T] - bd.hT])
     return float(np.sum((Z @ tr.pi) * Z)) + float(e @ bd.H @ e)
 

@@ -47,6 +47,7 @@ from .linalg import (
     DEFAULT_POLICY,
     RankedSvd,
     TolerancePolicy,
+    _frobenius,
     ranked_svd,
 )
 from .model import LqProblem
@@ -210,7 +211,7 @@ def _reduced_hessian(G, V1):
     E = GV1 - 0.5 * V1 @ (V1.T @ GV1)
     s = np.max(np.diag(G) - 2.0 * np.sum(V1 * E, axis=1))
     E -= 0.5 * s * V1
-    W1, W2 = np.hstack([V1, E]), np.hstack([E, V1])
+    W1, W2 = np.concatenate([V1, E], axis=1), np.concatenate([E, V1], axis=1)
     Gw = W1 @ W2.T
     return np.subtract(G, Gw, out=Gw), W1, W2
 
@@ -307,8 +308,8 @@ def solve_flat(qp: FlatQp, pol: TolerancePolicy = DEFAULT_POLICY):
     # residual uses Gw w = G w - W1 W2' w.
     w = _min_norm_psd_solve(Gw, bw)
     del Gw
-    residual = np.linalg.norm(qp.G @ w - W1 @ (W2.T @ w) - bw)
-    if residual > pol.residual_tol * (1.0 + np.linalg.norm(bw)) * 100:
+    residual = _frobenius(qp.G @ w - W1 @ (W2.T @ w) - bw)
+    if residual > pol.residual_tol * (1.0 + _frobenius(bw)) * 100:
         raise UnboundedObjectiveError(
             "reduced normal equations are inconsistent; "
             "the objective is not bounded below on the feasible set")
@@ -322,4 +323,4 @@ def projected_gradient_norm(qp: FlatQp, z, pol: TolerancePolicy = DEFAULT_POLICY
     grad = 2.0 * (qp.G @ np.asarray(z, dtype=float) - qp.b)
     svd = qp._aeq_svd.ranked(pol)
     V1 = svd.Vt[:svd.rank].T
-    return float(np.linalg.norm(_project(V1, grad)))
+    return _frobenius(_project(V1, grad))

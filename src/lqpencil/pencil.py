@@ -39,6 +39,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_POLICY,
     TolerancePolicy,
+    _frobenius,
     _svd_cutoff,
     norm_exceeds,
     ranked_svd,
@@ -110,7 +111,7 @@ def riccati_congruence(cert: RiccatiCertificate,
 
     scale = 1.0 + sum(np.max(np.abs(W), initial=0.0) for W in (esp.N, esp.M, X))
     for z, C in ((0.0, C_N), (1.0, C_N - C_M)):
-        residual = np.linalg.norm(C - _triangular_rhs(cert, z))
+        residual = _frobenius(C - _triangular_rhs(cert, z))
         if residual > pol.residual_tol * scale:
             raise DecompositionError(
                 f"congruence verification failed at z={z} "
@@ -176,7 +177,7 @@ def _reachable_staging(A, B, pol):
     stack, block, ranks = B, B, [0, svd.rank]
     while ranks[-2] < ranks[-1] < n and len(ranks) <= n:
         block = A @ block
-        stack = np.hstack([stack, block])
+        stack = np.concatenate([stack, block], axis=1)
         svd = ranked_svd(stack, pol)
         ranks.append(svd.rank)
     index = next(k for k, rank in enumerate(ranks) if rank >= svd.rank)
@@ -200,7 +201,7 @@ def reachability_decomposition(cert: RiccatiCertificate, split: InputSplit,
     A_X = cert.A_X
     U1, U2, index = _reachable_staging(A_X, split.B2, pol)
     r = U1.shape[1]
-    U = np.hstack([U1, U2])
+    U = np.concatenate([U1, U2], axis=1)
 
     At = U.T @ A_X @ U
     Bt1 = U.T @ split.B1
@@ -250,7 +251,7 @@ def canonical_form(dec: PencilDecomposition,
     L = np.zeros((2 * n + m, 2 * n + m))
     L[:n, :n] = dec.U
     L[n:2 * n, n:2 * n] = dec.U
-    L[2 * n:, 2 * n:] = np.hstack([dec.split.T1, dec.split.T2])
+    L[2 * n:, 2 * n:] = np.concatenate([dec.split.T1, dec.split.T2], axis=1)
     # transformed blocks are ordered (x1, x2, l1, l2, u1, u2)
     sizes = (dec.r, n - dec.r, dec.r, n - dec.r, dec.m1, dec.m2)
     ends = np.cumsum(sizes)
@@ -328,7 +329,7 @@ def _infinite_multiplicities(A22, B12, pol):
     size = 2 * d + m1
     if size == 0:
         return 0, 0
-    block = np.vstack([A22.T, B12.T])
+    block = np.concatenate([A22.T, B12.T])
     prev, geometric = size, None
     for _ in range(size):
         s = np.linalg.svd(block, compute_uv=False) if d else np.zeros(0)

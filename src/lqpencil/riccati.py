@@ -24,6 +24,7 @@ with no branch, serves every triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,7 @@ from .linalg import (
     RankedSvd,
     TolerancePolicy,
     _as_matrix,
+    _frobenius,
     matrix_norm,
     norm_exceeds,
     ranked_svd,
@@ -305,8 +307,8 @@ def _limit(sigma: PopovTriple, iterates, max_iters: int, pol) -> np.ndarray:
     X = np.zeros((sigma.n, sigma.n))
     for X_next in iterates:
         step, X = X_next - X, X_next
-        fro = np.linalg.norm(X)
-        if not np.isfinite(fro):
+        fro = _frobenius(X)
+        if not math.isfinite(fro):
             raise RiccatiDivergenceError("Riccati iterates are not finite")
         if 2.0 * fro > 1e12 and norm_exceeds(X, 1e12, sigma.Q):
             raise RiccatiDivergenceError("Riccati iterates diverged")

@@ -280,6 +280,28 @@ def z_problem(seed) -> LqProblem:
     return LqProblem(triple, T, _boundary(rng, n, q))
 
 
+def d_problem(seed) -> LqProblem:
+    """Draw ``seed`` of the D family: n in [2, 6], m in [2, 3],
+    T in [n + 1, n + 8] and q in [0, n], then the benchmark's
+    unstructured singular instance (cost rank 1 to m - 1, drawn in the
+    same order) with A scaled by 1.4/sqrt(n) in place of 0.9/sqrt(n),
+    so that its free channel may grow.  Its seeds are 1000-1399.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 4))
+    T = int(rng.integers(n + 1, n + 9))
+    q = int(rng.integers(0, n + 1))
+    p = int(rng.integers(1, m))
+    F = rng.normal(size=(p, n + m))
+    A = 1.4 * rng.normal(size=(n, n)) / np.sqrt(n)
+    B = rng.normal(size=(n, m))
+    pi = F.T @ F
+    pi = 0.5 * (pi + pi.T)
+    triple = PopovTriple(A, B, pi[:n, :n], pi[:n, n:], pi[n:, n:])
+    return LqProblem(triple, T, _boundary(rng, n, q))
+
+
 def attach_random_boundary(rng, triple, dec, extra_horizon=3):
     """Random boundary data with a horizon above the controllability
     index of the reachable block."""

@@ -9,6 +9,11 @@ import pytest
 from lqpencil import DimensionMismatchError, NonFiniteMatrixError, TolerancePolicy
 from lqpencil import linalg
 from lqpencil.linalg import (
+    _as_matrix,
+    _as_vector,
+    _fix_signs,
+    _frobenius,
+    _svd_cutoff,
     matrix_norm,
     norm_exceeds,
     ranked_svd,
@@ -358,3 +363,169 @@ def test_subspace_distance():
         pytest.approx(0.0, abs=1e-14)
     with pytest.raises(DimensionMismatchError):
         subspace_distance(e1, np.zeros((3, 1)))
+
+
+# The helpers as they were before they passed arrays through, kept as
+# references: each rewrite must give the same bytes, errors and ranks.
+
+def reference_fix_signs(B):
+    B = np.array(B)
+    if B.size:
+        lead = B[np.argmax(np.abs(B), axis=0), np.arange(B.shape[1])]
+        B[:, lead < 0] *= -1
+    return B
+
+
+def reference_as_matrix(M, name="matrix"):
+    A = np.atleast_2d(np.asarray(M))
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-D, got ndim={A.ndim}")
+    if A.size and not np.all(np.isfinite(A)):
+        raise NonFiniteMatrixError(f"{name} contains NaN or Inf")
+    return A
+
+
+def reference_as_vector(v, name="vector"):
+    a = np.asarray(v)
+    if a.ndim == 2 and 1 in a.shape:
+        a = a.ravel()
+    if a.ndim != 1:
+        raise DimensionMismatchError(f"{name} must be 1-D, got ndim={a.ndim}")
+    if a.size and not np.all(np.isfinite(a)):
+        raise NonFiniteMatrixError(f"{name} contains NaN or Inf")
+    return a
+
+
+def reference_norm_exceeds(E, tol, *scales):
+    """norm_exceeds behind its former entry, which wrapped every E."""
+    return norm_exceeds(np.atleast_2d(np.asarray(E)), tol, *scales)
+
+
+def reference_rank(M, pol):
+    """The rank of a fresh full factorisation re-ranked under pol."""
+    s = np.linalg.svd(M, full_matrices=True)[1]
+    return int(np.count_nonzero(s > _svd_cutoff(s, M.shape, pol)))
+
+
+def same_bytes(a, b):
+    """Equal type, dtype, shape, memory layout and bytes: the layout
+    sets which BLAS kernel a later product takes."""
+    return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+            and a.strides == b.strides and a.tobytes() == b.tobytes())
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives: its value, or its error's type and message."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # compared by type and message
+        return "error", type(exc), str(exc)
+
+
+def signed_bases():
+    rng = np.random.default_rng(11)
+    bases = [rng.normal(size=(rows, cols))
+             for rows, cols in ((1, 1), (3, 2), (5, 5), (6, 3), (2, 7))]
+    bases += [
+        np.array([[0.5, -0.5, 2.0], [-0.5, 0.5, -2.0]]),     # ties, opposite signs
+        np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, -3.0]]),    # zero and -0.0 columns
+        np.array([[-0.0], [0.0]]),
+        np.zeros((4, 0)), np.zeros((0, 3)), np.zeros((0, 0)),  # empty bases
+    ]
+    return bases + [np.asfortranarray(B) for B in bases] + [B.T for B in bases]
+
+
+def test_fix_signs_gives_the_reference_bytes():
+    for B in signed_bases():
+        for writeable in (True, False):
+            B = B.copy(order="K")
+            B.setflags(write=writeable)
+            before = B.tobytes()
+            got = _fix_signs(B)
+            assert same_bytes(got, reference_fix_signs(B))
+            assert got.flags.writeable
+            assert B.tobytes() == before                   # the input is not flipped
+
+
+def test_bases_of_a_ranked_svd_are_the_reference_sign_fixes():
+    rng = np.random.default_rng(12)
+    for rows, cols, rank in ((4, 6, 2), (5, 3, 3), (6, 6, 0), (3, 3, 1)):
+        M = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        svd = ranked_svd(M)
+        assert same_bytes(svd.image, reference_fix_signs(svd.U[:, :svd.rank]))
+        assert same_bytes(svd.complement, reference_fix_signs(svd.U[:, svd.rank:]))
+        assert same_bytes(svd.kernel, reference_fix_signs(svd.Vt[svd.rank:].T))
+
+
+def test_frobenius_is_numpys_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    M = rng.normal(size=(7, 5)) * 10.0 ** rng.uniform(-8, 8, size=(7, 5))
+    arrays = [M, np.asfortranarray(M), M.T, M[1:6:2, ::-2], M[:, 3], M[2],
+              rng.normal(size=1000), rng.normal(size=(40, 30)), rng.normal(size=(40, 30)).T,
+              np.zeros(0), np.zeros((0, 3)), np.zeros((3, 0)),
+              np.array([[1e-170, 3e-160]]), np.array([[-0.0]])]
+    for A in arrays:
+        got, want = _frobenius(A), np.linalg.norm(A)
+        assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_frobenius_keeps_inf_and_nan():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for A, finite in ((np.array([[np.inf, 1.0]]), False), (np.array([np.nan, 0.0]), False),
+                          (np.array([[1e200, -1e200]]), False), (np.array([1e150]), True)):
+            got = _frobenius(A)
+            assert np.isfinite(got) == finite
+            assert np.float64(got).tobytes() == np.linalg.norm(A).tobytes()
+
+
+COERCIONS = [np.ones((2, 2, 2)), np.array([[1.0, np.nan]]), np.array([np.inf, 1.0]),
+             np.float64(2.5), 3.0, [1.0, 2.0], np.arange(3.0), [[1.0], [2.0]],
+             np.ones((1, 3)), np.ones((2, 3)), np.asfortranarray(np.ones((2, 3))),
+             np.zeros((0, 2)), np.zeros(0), np.array([[np.nan]])[:, :0]]
+
+
+def test_coercions_keep_their_results_errors_and_messages():
+    for M in COERCIONS:
+        for new, ref in ((_as_matrix, reference_as_matrix),
+                         (_as_vector, reference_as_vector)):
+            got, want = outcome(new, M, "Q"), outcome(ref, M, "Q")
+            if want[0] == "value":
+                assert got[0] == "value" and same_bytes(got[1], want[1])
+            else:
+                assert got == want
+    # a 2-D ndarray passes through, and so does a 1-D one as a vector
+    M, v = np.ones((2, 3)), np.ones(3)
+    assert _as_matrix(M) is M and _as_vector(v) is v
+
+
+def test_norm_exceeds_keeps_its_entry():
+    scales = (np.eye(2),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for E in COERCIONS[:-1] + [np.float64(1e-9), 1e-9, [[1e-9, 0.0]], np.ones((1, 1, 1))]:
+            for tol in (1e-8, 10.0):
+                assert outcome(norm_exceeds, E, tol, *scales) == \
+                    outcome(reference_norm_exceeds, E, tol, *scales)
+
+
+def test_rank_matches_the_reference_under_three_policies():
+    rng = np.random.default_rng(14)
+    policies = [TolerancePolicy(rank_rel_tol=t) for t in (1e-13, 1e-10, 1e-6)]
+    sigma = (1.0, 1e-3, 1e-8, 1e-11, 1e-12, 1e-15)
+    ranks = set()
+    for rows, cols in ((6, 6), (8, 6), (6, 9), (3, 7)):
+        k = min(rows, cols)
+        U = np.linalg.qr(rng.normal(size=(rows, rows)))[0][:, :k]
+        V = np.linalg.qr(rng.normal(size=(cols, cols)))[0][:, :k]
+        M = (U * np.array(sigma[:k])) @ V.T
+        for pol in policies:
+            svd = ranked_svd(M, pol)
+            assert svd.rank == reference_rank(M, pol)
+            ranks.add(svd.rank)
+            for other in policies:
+                again = svd.ranked(other)
+                assert again.rank == reference_rank(M, other)
+                assert all(x is y for x, y in zip((again.M, again.U, again.s, again.Vt),
+                                                  (svd.M, svd.U, svd.s, svd.Vt)))
+            assert svd.ranked(pol) is svd
+    assert len(ranks) >= 3          # the policies do rank differently
